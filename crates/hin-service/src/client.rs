@@ -22,6 +22,10 @@ use std::time::{Duration, Instant};
 pub struct Client {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
+    /// Bytes of the response line read so far. Kept across a timed-out
+    /// read, so the next [`read_response`](Client::read_response) resumes
+    /// the same line instead of returning its tail as a torn one.
+    partial: Vec<u8>,
 }
 
 impl Client {
@@ -40,11 +44,16 @@ impl Client {
     fn from_stream(stream: TcpStream) -> std::io::Result<Client> {
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { stream, reader })
+        Ok(Client {
+            stream,
+            reader,
+            partial: Vec::new(),
+        })
     }
 
     /// Bound how long a single read/write may block (`None` = forever).
-    /// A timed-out read leaves the connection in an unknown framing state —
+    /// A timed-out [`read_response`](Client::read_response) may simply be
+    /// called again; after any other failure the framing state is unknown —
     /// callers should drop and reconnect, as [`RetryClient`] does.
     pub fn set_io_timeouts(
         &mut self,
@@ -59,9 +68,7 @@ impl Client {
     /// Send one raw request line and read one response line (the JSON,
     /// without the trailing newline).
     pub fn send_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()?;
+        self.send_no_wait(line)?;
         self.read_response()
     }
 
@@ -73,21 +80,27 @@ impl Client {
     /// Write a request line without waiting for the response (pipelining /
     /// abandonment tests).
     pub fn send_no_wait(&mut self, line: &str) -> std::io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
+        // One write per request: on a `TCP_NODELAY` socket a separate
+        // write of the newline is a second segment and a second wake-up
+        // of the server's reader.
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.stream.write_all(framed.as_bytes())
     }
 
-    /// Read the next response line.
+    /// Read the next response line. After a timeout the bytes already
+    /// consumed are kept, and calling again continues the same line.
     pub fn read_response(&mut self) -> std::io::Result<String> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
+        self.reader.read_until(b'\n', &mut self.partial)?;
+        if self.partial.last() != Some(&b'\n') {
             return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
+                ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
+        let line = String::from_utf8(std::mem::take(&mut self.partial))
+            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
         Ok(line.trim_end().to_string())
     }
 
@@ -1040,6 +1053,47 @@ mod tests {
         assert!(client.send_line("PING").is_err());
         canceller.join().unwrap();
         drop(hold);
+    }
+
+    #[test]
+    fn timed_out_read_resumes_the_same_line() {
+        use std::io::Read as _;
+        use std::net::TcpListener;
+        use std::sync::mpsc;
+        // A server that answers in two halves and writes the second only
+        // once told that the client's read of the first has timed out.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (timed_out, wait_for_timeout) = mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = [0u8; 5];
+            stream.read_exact(&mut request).unwrap();
+            stream.write_all(b"{\"pong\":{\"upti").unwrap();
+            wait_for_timeout.recv().unwrap();
+            stream.write_all(b"me_ms\":1}}\n{\"second\":2}\n").unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap();
+        client
+            .set_io_timeouts(Some(Duration::from_millis(20)), None)
+            .unwrap();
+        let err = client
+            .send_line("PING")
+            .expect_err("half a line is no line");
+        assert!(
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{err}"
+        );
+        timed_out.send(()).unwrap();
+        client
+            .set_io_timeouts(Some(Duration::from_secs(5)), None)
+            .unwrap();
+        assert_eq!(
+            client.read_response().unwrap(),
+            r#"{"pong":{"uptime_ms":1}}"#
+        );
+        assert_eq!(client.read_response().unwrap(), r#"{"second":2}"#);
+        server.join().unwrap();
     }
 
     #[test]

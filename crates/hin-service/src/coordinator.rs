@@ -12,6 +12,11 @@
 //! * **Failover** — a failed or retryable attempt (connect error, dropped
 //!   connection, `busy`, `Internal`, `Panic`) re-routes the shard to the
 //!   next replica, bounded by `attempts`.
+//! * **Connection reuse** — each backend keeps a small stack of idle
+//!   connections. An attempt checks one out (or dials), sends one request,
+//!   and the connection goes back only after that request's one complete
+//!   response line; anything else — timeout, error, cancellation, a lost
+//!   race — drops it (DESIGN.md §13).
 //! * **Hedging** — when a shard attempt is slower than `hedge_after`, a
 //!   second attempt races it on another replica; first response wins, the
 //!   loser is cancelled by disconnect. Duplicate execution is suppressed by
@@ -44,6 +49,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::Scope;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
@@ -56,7 +62,9 @@ use crate::protocol::{
     trace_node_from_value, BusyBody, DegradedInfo, ErrorCode, ExecMode, RankedRow, Request,
     RequestOptions, Response, ResultBody, ShardTrace, TraceBody, TraceListEntry,
 };
-use crate::server::{bind_listener_retry, LineEvent, LineReader, SLOW_LOG_CAP_DEFAULT};
+use crate::server::{
+    bind_listener_retry, wake_acceptor, LineEvent, LineReader, SLOW_LOG_CAP_DEFAULT,
+};
 use hin_graph::VertexId;
 use hin_telemetry::{Sample, TraceNode};
 use netout::{top_k, Budget, ScoreOrder};
@@ -91,7 +99,8 @@ pub struct CoordinatorConfig {
     /// a coordinator restart, and a replayed id would hand a new query the
     /// previous run's cached shard response.
     pub seed: u64,
-    /// Accept/shutdown polling granularity.
+    /// How often a connection handler waiting for a client's next line
+    /// looks at the shutdown flag.
     pub poll_interval: Duration,
     /// Rolling outcome-window size per backend breaker.
     pub breaker_window: usize,
@@ -155,12 +164,27 @@ impl Default for CoordinatorConfig {
 /// heartbeat.
 struct Backend {
     addr: SocketAddr,
+    /// Idle connections, most recently used last. Invariant: a connection
+    /// in here has no request outstanding and no unread bytes — it was put
+    /// back right after the one complete response line to its one request.
+    idle: Mutex<Vec<Client>>,
     up: AtomicBool,
     failures: AtomicU32,
     marked_down: AtomicU64,
     probes: AtomicU64,
     breaker: Mutex<BreakerState>,
     breaker_trips: AtomicU64,
+}
+
+/// Idle connections kept per backend; a burst beyond this redials.
+const IDLE_CAP: usize = 8;
+
+/// A socket timeout (the peer is slow), not a broken connection.
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Rolling-window breaker: closed (window filling), open (fast-fail until
@@ -178,6 +202,7 @@ impl Backend {
     fn new(addr: SocketAddr) -> Backend {
         Backend {
             addr,
+            idle: Mutex::new(Vec::new()),
             up: AtomicBool::new(true),
             failures: AtomicU32::new(0),
             marked_down: AtomicU64::new(0),
@@ -193,6 +218,24 @@ impl Backend {
 
     fn is_up(&self) -> bool {
         self.up.load(Ordering::Relaxed)
+    }
+
+    /// A connection to send one request on: the most recently returned
+    /// idle one (`true`: reused), else a fresh dial.
+    fn checkout(&self, connect_timeout: Duration) -> io::Result<(Client, bool)> {
+        if let Some(client) = self.idle.lock().pop() {
+            return Ok((client, true));
+        }
+        Ok((Client::connect_timeout(&self.addr, connect_timeout)?, false))
+    }
+
+    /// Put back a connection whose one request has just been answered by
+    /// one complete response line. Past [`IDLE_CAP`] it is closed instead.
+    fn checkin(&self, client: Client) {
+        let mut idle = self.idle.lock();
+        if idle.len() < IDLE_CAP {
+            idle.push(client);
+        }
     }
 
     /// Whether the breaker currently fast-fails attempts (open, cooldown
@@ -358,6 +401,9 @@ pub struct CoordSnapshot {
 struct CoordShared {
     config: CoordinatorConfig,
     backends: Vec<Backend>,
+    /// The front door's address: `SHUTDOWN` connects to it to wake the
+    /// acceptor out of `accept`.
+    addr: SocketAddr,
     shutdown: AtomicBool,
     dedup: Mutex<DedupCache>,
     seq: AtomicU64,
@@ -503,6 +549,7 @@ impl Coordinator {
         let shared = Arc::new(CoordShared {
             dedup: Mutex::new(DedupCache::new(config.dedup_cap)),
             backends: backends.into_iter().map(Backend::new).collect(),
+            addr,
             shutdown: AtomicBool::new(false),
             seq: AtomicU64::new(1),
             id_seed: fault::mix(config.seed, boot_nonce, u64::from(std::process::id())),
@@ -539,19 +586,16 @@ impl Coordinator {
                 .name("hin-coord-heartbeat".into())
                 .spawn(move || heartbeat_loop(&shared))
         };
-        if let Err(e) = self.listener.set_nonblocking(true) {
-            hin_telemetry::logfmt!("coordinator_accept_error", error = e);
-            shared.shutdown.store(true, Ordering::SeqCst);
-        }
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !shared.shutdown.load(Ordering::Relaxed) {
-            match self.listener.accept() {
+        loop {
+            let accepted = self.listener.accept();
+            // Checked after every return from `accept`: the connection
+            // that `SHUTDOWN` makes to wake this loop ends it.
+            if shared.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
                 Ok((stream, _)) => {
-                    // Accepted sockets can inherit non-blocking mode; the
-                    // line reader needs timeout-based blocking reads.
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
                     let shared = Arc::clone(&shared);
                     if let Ok(handle) = std::thread::Builder::new()
                         .name("hin-coord-conn".into())
@@ -563,7 +607,8 @@ impl Coordinator {
                         handlers.retain(|h| !h.is_finished());
                     }
                 }
-                Err(_) => std::thread::sleep(shared.config.poll_interval),
+                // Out of descriptors, say: do not spin on it.
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
         for handle in handlers {
@@ -627,6 +672,7 @@ fn probe(addr: SocketAddr, connect_timeout: Duration) -> bool {
 // ---------------------------------------------------------------------------
 
 fn handle_client(shared: &Arc<CoordShared>, stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
     let mut reader = LineReader::new(stream);
     loop {
         match reader.next_line(&shared.shutdown, shared.config.poll_interval) {
@@ -683,6 +729,7 @@ fn handle_client(shared: &Arc<CoordShared>, stream: TcpStream) {
                         shared.shutdown.store(true, Ordering::SeqCst);
                         Counters::inc(&shared.counters.completed);
                         let _ = reader.write_response(&Response::Bye { draining: 0 });
+                        wake_acceptor(shared.addr);
                         return;
                     }
                     Request::Metrics { json: false } => {
@@ -816,27 +863,33 @@ fn scatter_gather_query(shared: &CoordShared, options: &RequestOptions, text: &s
             .to_line()
         })
         .collect();
+    // Shard 0 is fetched on this thread, the others on one thread each;
+    // attempt threads (hedges, reads that outlast the hedge mark) join the
+    // same scope, so none outlives the query.
+    let lines = &lines;
     let fetched: Vec<(ShardOutcome, Option<TracedShard>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = lines
-            .iter()
-            .enumerate()
-            .map(|(i, line)| {
-                scope.spawn(move || {
-                    fetch_shard(shared, line, i, n, shard_deadline, exec_started, tracing)
-                })
+        let fetch = move |i: usize| {
+            fetch_shard(
+                scope,
+                shared,
+                &lines[i],
+                i,
+                shard_deadline,
+                exec_started,
+                tracing,
+            )
+        };
+        let handles: Vec<_> = (1..n).map(|i| scope.spawn(move || fetch(i))).collect();
+        let mut fetched = vec![fetch(0)];
+        fetched.extend(handles.into_iter().map(|h| {
+            h.join().unwrap_or_else(|_| {
+                (
+                    ShardOutcome::Unavailable("coordinator worker panicked".to_string()),
+                    None,
+                )
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    (
-                        ShardOutcome::Unavailable("coordinator worker panicked".to_string()),
-                        None,
-                    )
-                })
-            })
-            .collect()
+        }));
+        fetched
     });
     let scatter_done = Instant::now();
     let mut outcomes = Vec::with_capacity(fetched.len());
@@ -1018,6 +1071,7 @@ enum ShardOutcome {
     Overloaded { retry_after_ms: u64 },
 }
 
+#[derive(Debug)]
 struct ShardData {
     measure: String,
     asc: bool,
@@ -1053,15 +1107,16 @@ struct AttemptRecord {
     outcome: String,
 }
 
-fn fetch_shard(
-    shared: &CoordShared,
-    line: &str,
+fn fetch_shard<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    shared: &'scope CoordShared,
+    line: &'scope str,
     shard: usize,
-    of: usize,
     deadline: Instant,
     epoch: Instant,
     tracing: bool,
 ) -> (ShardOutcome, Option<TracedShard>) {
+    let of = shared.backends.len();
     // Breaker-open backends sort with the unhealthy ones: the breaker
     // fast-fails them anyway, so spend the early attempts elsewhere.
     let up: Vec<bool> = shared
@@ -1080,6 +1135,7 @@ fn fetch_shard(
     }
     let (tx, rx) = mpsc::channel();
     let fetch = ShardFetch {
+        scope,
         shared,
         line,
         shard,
@@ -1092,6 +1148,7 @@ fn fetch_shard(
         launched: 0,
         handles: Vec::new(),
         tx,
+        inline: None,
         last_reason: String::new(),
         busy_seen: 0,
         retry_hint_ms: 0,
@@ -1207,12 +1264,31 @@ fn replica_order(up: &[bool], shard: usize, replicas: usize, attempts: usize) ->
     (0..attempts).map(|i| ordered[i % ordered.len()]).collect()
 }
 
+/// One attempt's connection, checked out for its one request.
+struct AttemptConn {
+    /// Index into [`ShardFetch::attempts`].
+    attempt: usize,
+    backend_index: usize,
+    client: Client,
+    /// Taken off the idle stack, not dialed: a failure short of a timeout
+    /// may only mean that the backend closed it while it sat idle.
+    reused: bool,
+}
+
+/// What an attempt reports to its shard's fetch loop: the connection, the
+/// latency (request written → response read; excludes the dial), and the
+/// response line. The connection comes along so that the loop — which
+/// knows whether the shard is still undecided — is the one to pool it.
+type AttemptMsg = (AttemptConn, Duration, io::Result<String>);
+
 /// In-flight state of one shard's attempt fan-out: launches replica
 /// attempts lazily, hedges slow ones, and cancels every loser once a
 /// response wins.
-struct ShardFetch<'a> {
-    shared: &'a CoordShared,
-    line: &'a str,
+struct ShardFetch<'scope, 'env> {
+    /// The scatter's thread scope; attempt threads are spawned on it.
+    scope: &'scope Scope<'scope, 'env>,
+    shared: &'scope CoordShared,
+    line: &'scope str,
     shard: usize,
     of: usize,
     deadline: Instant,
@@ -1224,8 +1300,12 @@ struct ShardFetch<'a> {
     /// Attempts actually tried (including connect failures); distinguishes
     /// the shard's first launch from re-routes when counting metrics.
     launched: usize,
-    handles: Vec<CancelHandle>,
-    tx: mpsc::Sender<(usize, usize, Duration, io::Result<String>)>,
+    /// Cancel handles of the attempts running on threads, by attempt index.
+    handles: Vec<(usize, CancelHandle)>,
+    tx: mpsc::Sender<AttemptMsg>,
+    /// The attempt this thread does the I/O of itself: launched while
+    /// nothing else was in flight, so there is nothing to watch meanwhile.
+    inline: Option<AttemptConn>,
     last_reason: String,
     /// `busy`/`expired` answers seen across this shard's attempts.
     busy_seen: u32,
@@ -1238,7 +1318,7 @@ struct ShardFetch<'a> {
     winner: Option<usize>,
 }
 
-impl ShardFetch<'_> {
+impl ShardFetch<'_, '_> {
     /// Launch the next attempt in the replica order. Returns `false` when
     /// the order (or the deadline) is exhausted.
     fn launch_next(&mut self) -> bool {
@@ -1246,8 +1326,7 @@ impl ShardFetch<'_> {
             let backend_index = self.order[self.next];
             self.next += 1;
             let backend = &self.shared.backends[backend_index];
-            let remaining = self.deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            if self.deadline <= Instant::now() {
                 return false;
             }
             let start_us = self.epoch.elapsed().as_micros() as u64;
@@ -1280,40 +1359,6 @@ impl ShardFetch<'_> {
                 "failover"
             };
             self.launched += 1;
-            let connect = remaining.min(self.shared.config.connect_timeout);
-            let mut client = match Client::connect_timeout(&backend.addr, connect) {
-                Ok(c) => c,
-                Err(e) => {
-                    backend.report_failure(self.shared.config.down_after);
-                    backend.record_outcome(false, Duration::ZERO, &self.shared.config);
-                    self.last_reason = format!("{}: {e}", backend.addr);
-                    self.attempts.push(AttemptRecord {
-                        backend: backend.addr,
-                        kind,
-                        start_us,
-                        dur_us: Some(self.epoch.elapsed().as_micros() as u64 - start_us),
-                        outcome: format!("failed: {e}"),
-                    });
-                    continue;
-                }
-            };
-            if let Err(e) = client.set_io_timeouts(Some(remaining), Some(remaining)) {
-                backend.report_failure(self.shared.config.down_after);
-                backend.record_outcome(false, Duration::ZERO, &self.shared.config);
-                self.last_reason = format!("{}: {e}", backend.addr);
-                self.attempts.push(AttemptRecord {
-                    backend: backend.addr,
-                    kind,
-                    start_us,
-                    dur_us: Some(self.epoch.elapsed().as_micros() as u64 - start_us),
-                    outcome: format!("failed: {e}"),
-                });
-                continue;
-            }
-            if let Ok(handle) = client.cancel_handle() {
-                self.handles.push(handle);
-            }
-            let attempt = self.attempts.len();
             self.attempts.push(AttemptRecord {
                 backend: backend.addr,
                 kind,
@@ -1321,38 +1366,125 @@ impl ShardFetch<'_> {
                 dur_us: None,
                 outcome: String::new(),
             });
-            let tx = self.tx.clone();
-            let line = self.line.to_string();
-            let spawned = std::thread::Builder::new()
-                .name("hin-coord-attempt".into())
-                .spawn(move || {
-                    let started = Instant::now();
-                    let result = client.send_line(&line);
-                    let _ = tx.send((attempt, backend_index, started.elapsed(), result));
-                });
-            match spawned {
-                Ok(_) => {
-                    self.pending += 1;
-                    return true;
-                }
-                Err(e) => {
-                    self.last_reason = format!("attempt thread spawn failed: {e}");
-                    if let Some(record) = self.attempts.last_mut() {
-                        record.dur_us = Some(0);
-                        record.outcome = format!("failed: {e}");
-                    }
-                    continue;
-                }
+            if self.start(self.attempts.len() - 1, backend_index, false) {
+                return true;
             }
         }
         false
     }
 
-    /// Disconnect every outstanding attempt: the backend observes the drop
-    /// and cancels the in-flight execution; the attempt thread's blocked
-    /// read fails and the thread exits.
+    /// Get `attempt` a connection to the backend — an idle one unless
+    /// `fresh` — and put it in flight: on this thread when nothing else is
+    /// pending, on a thread of its own when it races another attempt. A
+    /// failed dial is the backend's failure; returns `false` for it.
+    fn start(&mut self, attempt: usize, backend_index: usize, fresh: bool) -> bool {
+        let backend = &self.shared.backends[backend_index];
+        let dial_started = Instant::now();
+        let connect = self
+            .deadline
+            .saturating_duration_since(dial_started)
+            .min(self.shared.config.connect_timeout);
+        let dialed = if fresh {
+            Client::connect_timeout(&backend.addr, connect).map(|client| (client, false))
+        } else {
+            backend.checkout(connect)
+        };
+        let (client, reused) = match dialed {
+            Ok(dialed) => dialed,
+            Err(e) => {
+                backend.report_failure(self.shared.config.down_after);
+                backend.record_outcome(false, Duration::ZERO, &self.shared.config);
+                self.last_reason = format!("{}: {e}", backend.addr);
+                self.resolve(attempt, dial_started.elapsed(), format!("failed: {e}"));
+                return false;
+            }
+        };
+        let conn = AttemptConn {
+            attempt,
+            backend_index,
+            client,
+            reused,
+        };
+        self.pending += 1;
+        if self.pending == 1 {
+            self.inline = Some(conn);
+        } else {
+            self.run_on_thread(conn, None);
+        }
+        true
+    }
+
+    /// Move an attempt's I/O to a thread of its own, cancellable from here.
+    /// With `sent` (when its request was written) the thread only reads
+    /// on; otherwise it writes the request first. Failing to set the
+    /// thread up fails the attempt, not the backend.
+    fn run_on_thread(&mut self, mut conn: AttemptConn, sent: Option<Instant>) {
+        let remaining = self.deadline.saturating_duration_since(Instant::now());
+        let attempt = conn.attempt;
+        let (tx, line) = (self.tx.clone(), self.line);
+        let spawned = conn
+            .client
+            .set_io_timeouts(Some(remaining), Some(remaining))
+            .and_then(|()| conn.client.cancel_handle())
+            .and_then(|handle| {
+                self.handles.push((attempt, handle));
+                std::thread::Builder::new()
+                    .name("hin-coord-attempt".into())
+                    .spawn_scoped(self.scope, move || {
+                        let started = sent.unwrap_or_else(Instant::now);
+                        let result = match sent {
+                            Some(_) => conn.client.read_response(),
+                            None => conn.client.send_line(line),
+                        };
+                        let _ = tx.send((conn, started.elapsed(), result));
+                    })
+            });
+        if let Err(e) = spawned {
+            self.pending -= 1;
+            self.handles.retain(|(a, _)| *a != attempt);
+            self.last_reason = format!("attempt thread setup failed: {e}");
+            self.resolve(attempt, Duration::ZERO, format!("failed: {e}"));
+        }
+    }
+
+    /// Wait up to `wait` for an attempt to report. An inline attempt's
+    /// exchange is that wait: write the request, read until `wait` passes.
+    /// If it passes with a replica left to race, the connection reads on
+    /// from a thread and this reports the channel's timeout.
+    fn next_message(
+        &mut self,
+        rx: &mpsc::Receiver<AttemptMsg>,
+        wait: Duration,
+    ) -> Result<AttemptMsg, mpsc::RecvTimeoutError> {
+        let Some(mut conn) = self.inline.take() else {
+            return rx.recv_timeout(wait);
+        };
+        let started = Instant::now();
+        let remaining = self.deadline.saturating_duration_since(started);
+        let result = conn
+            .client
+            .set_io_timeouts(Some(wait), Some(remaining))
+            .and_then(|()| conn.client.send_no_wait(self.line))
+            .and_then(|()| conn.client.read_response());
+        match result {
+            Err(e)
+                if is_timeout(&e)
+                    && self.next < self.order.len()
+                    && Instant::now() < self.deadline =>
+            {
+                self.run_on_thread(conn, Some(started));
+                Err(mpsc::RecvTimeoutError::Timeout)
+            }
+            result => Ok((conn, started.elapsed(), result)),
+        }
+    }
+
+    /// Disconnect every attempt still running on a thread: the backend
+    /// observes the drop and cancels the in-flight execution; the attempt
+    /// thread's blocked read fails and the thread exits. An attempt that
+    /// has reported (the winner) is no longer in the list.
     fn cancel_all(&mut self) {
-        for handle in self.handles.drain(..) {
+        for (_, handle) in self.handles.drain(..) {
             handle.cancel();
         }
     }
@@ -1375,16 +1507,13 @@ impl ShardFetch<'_> {
 
     fn run(
         mut self,
-        rx: &mpsc::Receiver<(usize, usize, Duration, io::Result<String>)>,
+        rx: &mpsc::Receiver<AttemptMsg>,
     ) -> (ShardOutcome, Vec<AttemptRecord>, Option<usize>) {
         let outcome = self.run_inner(rx);
         (outcome, self.attempts, self.winner)
     }
 
-    fn run_inner(
-        &mut self,
-        rx: &mpsc::Receiver<(usize, usize, Duration, io::Result<String>)>,
-    ) -> ShardOutcome {
+    fn run_inner(&mut self, rx: &mpsc::Receiver<AttemptMsg>) -> ShardOutcome {
         loop {
             while self.pending == 0 {
                 if !self.launch_next() {
@@ -1404,86 +1533,102 @@ impl ShardFetch<'_> {
             } else {
                 remaining
             };
-            match rx.recv_timeout(wait) {
-                Ok((attempt, backend_index, latency, Ok(response))) => {
-                    self.pending -= 1;
-                    let backend = &self.shared.backends[backend_index];
-                    match response_kind(&response) {
-                        Some("shard") => {
-                            backend.report_success();
-                            backend.record_outcome(true, latency, &self.shared.config);
-                            self.winner = Some(attempt);
-                            self.cancel_all();
-                            return match parse_shard_body(&response, self.shard, self.of) {
-                                Ok(data) => {
-                                    self.resolve(attempt, latency, "ok".to_string());
-                                    ShardOutcome::Data(data)
-                                }
-                                Err(e) => {
-                                    self.resolve(
-                                        attempt,
-                                        latency,
-                                        "failed: malformed shard body".to_string(),
-                                    );
-                                    ShardOutcome::Unavailable(format!(
-                                        "backend {} answered with a malformed shard body: {e}",
-                                        backend.addr
-                                    ))
-                                }
-                            };
-                        }
-                        _ if is_retryable(&response) => {
-                            let shedding =
-                                matches!(response_kind(&response), Some("busy" | "expired"));
-                            // Load-shedding answers leave the breaker alone
-                            // (the backend is alive, just saturated); only
-                            // retryable *errors* (Internal/Panic) count.
-                            backend.record_outcome(shedding, latency, &self.shared.config);
-                            self.last_reason =
-                                format!("{}: {}", backend.addr, summarize(&response));
-                            self.resolve(attempt, latency, summarize(&response));
-                            if shedding {
-                                self.busy_seen += 1;
-                                if let Some(hint) = json_u64_field(&response, "retry_after_ms") {
-                                    self.retry_hint_ms = self.retry_hint_ms.max(hint);
-                                }
-                                let threshold = self.shared.config.busy_storm_threshold;
-                                if threshold > 0 && self.busy_seen >= threshold {
-                                    self.cancel_all();
-                                    return ShardOutcome::Overloaded {
-                                        retry_after_ms: self.retry_hint_ms,
-                                    };
-                                }
-                            }
-                        }
-                        _ => {
-                            backend.report_success();
-                            backend.record_outcome(true, latency, &self.shared.config);
-                            self.winner = Some(attempt);
-                            self.resolve(attempt, latency, "definitive answer".to_string());
-                            self.cancel_all();
-                            return ShardOutcome::Definitive(response);
-                        }
-                    }
-                }
-                Ok((attempt, backend_index, latency, Err(e))) => {
-                    self.pending -= 1;
-                    let backend = &self.shared.backends[backend_index];
-                    backend.report_failure(self.shared.config.down_after);
-                    backend.record_outcome(false, latency, &self.shared.config);
-                    self.last_reason = format!("{}: {e}", backend.addr);
-                    self.resolve(attempt, latency, format!("failed: {e}"));
-                }
+            let (conn, latency, result) = match self.next_message(rx, wait) {
+                Ok(msg) => msg,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     if self.next < self.order.len() && Instant::now() < self.deadline {
                         // launch_next counts this as a hedge: the slow
                         // attempt is still pending, so the new one races it.
                         self.launch_next();
                     }
+                    continue;
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     self.cancel_all();
                     return ShardOutcome::Unavailable(self.reason("all attempt channels closed"));
+                }
+            };
+            let attempt = conn.attempt;
+            self.pending -= 1;
+            self.handles.retain(|(a, _)| *a != attempt);
+            let backend = &self.shared.backends[conn.backend_index];
+            let response = match result {
+                Ok(response) => {
+                    // One request, one complete response line, and the
+                    // shard still undecided: as good as a new connection.
+                    backend.checkin(conn.client);
+                    response
+                }
+                Err(e) if conn.reused && !is_timeout(&e) => {
+                    // A pooled connection the backend closed when it
+                    // restarted says nothing about the backend now; one
+                    // fresh dial does. The request keeps its `id=`: had the
+                    // first copy executed, this one would be a dedup replay.
+                    backend.idle.lock().clear();
+                    self.start(attempt, conn.backend_index, true);
+                    continue;
+                }
+                Err(e) => {
+                    backend.report_failure(self.shared.config.down_after);
+                    backend.record_outcome(false, latency, &self.shared.config);
+                    self.last_reason = format!("{}: {e}", backend.addr);
+                    self.resolve(attempt, latency, format!("failed: {e}"));
+                    continue;
+                }
+            };
+            match response_kind(&response) {
+                Some("shard") => {
+                    backend.report_success();
+                    backend.record_outcome(true, latency, &self.shared.config);
+                    self.winner = Some(attempt);
+                    self.cancel_all();
+                    return match parse_shard_body(&response, self.shard, self.of) {
+                        Ok(data) => {
+                            self.resolve(attempt, latency, "ok".to_string());
+                            ShardOutcome::Data(data)
+                        }
+                        Err(e) => {
+                            self.resolve(
+                                attempt,
+                                latency,
+                                "failed: malformed shard body".to_string(),
+                            );
+                            ShardOutcome::Unavailable(format!(
+                                "backend {} answered with a malformed shard body: {e}",
+                                backend.addr
+                            ))
+                        }
+                    };
+                }
+                _ if is_retryable(&response) => {
+                    let shedding = matches!(response_kind(&response), Some("busy" | "expired"));
+                    // Load-shedding answers leave the breaker alone
+                    // (the backend is alive, just saturated); only
+                    // retryable *errors* (Internal/Panic) count.
+                    backend.record_outcome(shedding, latency, &self.shared.config);
+                    self.last_reason = format!("{}: {}", backend.addr, summarize(&response));
+                    self.resolve(attempt, latency, summarize(&response));
+                    if shedding {
+                        self.busy_seen += 1;
+                        if let Some(hint) = json_u64_field(&response, "retry_after_ms") {
+                            self.retry_hint_ms = self.retry_hint_ms.max(hint);
+                        }
+                        let threshold = self.shared.config.busy_storm_threshold;
+                        if threshold > 0 && self.busy_seen >= threshold {
+                            self.cancel_all();
+                            return ShardOutcome::Overloaded {
+                                retry_after_ms: self.retry_hint_ms,
+                            };
+                        }
+                    }
+                }
+                _ => {
+                    backend.report_success();
+                    backend.record_outcome(true, latency, &self.shared.config);
+                    self.winner = Some(attempt);
+                    self.resolve(attempt, latency, "definitive answer".to_string());
+                    self.cancel_all();
+                    return ShardOutcome::Definitive(response);
                 }
             }
         }
@@ -1625,9 +1770,9 @@ fn merge_outcomes(
     }
     let template = available[0];
     let order = if template.asc {
-        ScoreOrder::Ascending
+        ScoreOrder::AscendingIsOutlier
     } else {
-        ScoreOrder::Descending
+        ScoreOrder::DescendingIsOutlier
     };
     // Concatenating the shard rows in shard order reproduces exactly the
     // finite score list a single box feeds into top_k, so the merged
@@ -1792,7 +1937,7 @@ fn forward_with_failover(shared: &CoordShared, request: &Request) -> String {
         }
         let connect = remaining.min(config.connect_timeout);
         let started = Instant::now();
-        match fetch_line_with(backend.addr, &line, connect, remaining) {
+        match fetch_line_with(backend, &line, connect, remaining) {
             Ok(response) if is_retryable(&response) => {
                 let shedding = matches!(response_kind(&response), Some("busy" | "expired"));
                 backend.record_outcome(shedding, started.elapsed(), config);
@@ -1827,43 +1972,12 @@ fn forward_with_failover(shared: &CoordShared, request: &Request) -> String {
 // ---------------------------------------------------------------------------
 
 fn route_faults(shared: &CoordShared, tokens: &[&str]) -> String {
-    let Some(raw_index) = tokens.get(1) else {
-        return Response::err(ErrorCode::Protocol, FAULTS_USAGE).to_json_line();
-    };
-    let Ok(index) = raw_index.parse::<usize>() else {
-        return Response::err(ErrorCode::Protocol, FAULTS_USAGE).to_json_line();
-    };
-    let Some(backend) = shared.backends.get(index) else {
-        return Response::err(
-            ErrorCode::Protocol,
-            format!(
-                "backend index {index} out of range (have {})",
-                shared.backends.len()
-            ),
-        )
-        .to_json_line();
-    };
     let forward = if tokens.len() > 2 {
         format!("FAULTS {}", tokens[2..].join(" "))
     } else {
         "FAULTS".to_string()
     };
-    // Deliberately targets down backends too: installing or clearing a
-    // fault plan is explicit operator intent.
-    match fetch_line(backend.addr, &forward, &shared.config) {
-        Ok(response) => {
-            backend.report_success();
-            response
-        }
-        Err(e) => {
-            backend.report_failure(shared.config.down_after);
-            Response::err(
-                ErrorCode::Engine,
-                format!("backend {index} unreachable: {e}"),
-            )
-            .to_json_line()
-        }
-    }
+    route_to_backend(shared, tokens.get(1), FAULTS_USAGE, &forward)
 }
 
 // ---------------------------------------------------------------------------
@@ -1875,15 +1989,30 @@ const TRACE_BACKEND_USAGE: &str = "coordinator TRACE BACKEND usage: TRACE BACKEN
                                    the coordinator's own ring)";
 
 fn route_trace_backend(shared: &CoordShared, tokens: &[&str]) -> String {
-    let Some(raw_index) = tokens.get(2) else {
-        return Response::err(ErrorCode::Protocol, TRACE_BACKEND_USAGE).to_json_line();
-    };
-    let Ok(index) = raw_index.parse::<usize>() else {
-        return Response::err(ErrorCode::Protocol, TRACE_BACKEND_USAGE).to_json_line();
-    };
     if tokens.len() > 4 {
         return Response::err(ErrorCode::Protocol, TRACE_BACKEND_USAGE).to_json_line();
     }
+    // The entry-id token is relayed untouched: the backend's own grammar
+    // rejects a malformed id with the canonical error.
+    let forward = match tokens.get(3) {
+        Some(id) => format!("TRACE {id}"),
+        None => "TRACE".to_string(),
+    };
+    route_to_backend(shared, tokens.get(2), TRACE_BACKEND_USAGE, &forward)
+}
+
+/// Send `forward` to the backend named by the index token and relay its
+/// answer. Deliberately targets down backends too: installing or clearing
+/// a fault plan, or reading a ring, is explicit operator intent.
+fn route_to_backend(
+    shared: &CoordShared,
+    raw_index: Option<&&str>,
+    usage: &str,
+    forward: &str,
+) -> String {
+    let Some(Ok(index)) = raw_index.map(|raw| raw.parse::<usize>()) else {
+        return Response::err(ErrorCode::Protocol, usage).to_json_line();
+    };
     let Some(backend) = shared.backends.get(index) else {
         return Response::err(
             ErrorCode::Protocol,
@@ -1894,13 +2023,7 @@ fn route_trace_backend(shared: &CoordShared, tokens: &[&str]) -> String {
         )
         .to_json_line();
     };
-    // The entry-id token is relayed untouched: the backend's own grammar
-    // rejects a malformed id with the canonical error.
-    let forward = match tokens.get(3) {
-        Some(id) => format!("TRACE {id}"),
-        None => "TRACE".to_string(),
-    };
-    match fetch_line(backend.addr, &forward, &shared.config) {
+    match fetch_line(backend, forward, &shared.config) {
         Ok(response) => {
             backend.report_success();
             response
@@ -1920,20 +2043,34 @@ fn route_trace_backend(shared: &CoordShared, tokens: &[&str]) -> String {
 // Aggregated STATS / METRICS
 // ---------------------------------------------------------------------------
 
+/// One request, one response line, over a pooled connection when there
+/// is one. A reused connection that fails short of a timeout was closed by
+/// the backend while idle; one fresh dial then decides the outcome.
 fn fetch_line_with(
-    addr: SocketAddr,
+    backend: &Backend,
     line: &str,
     connect: Duration,
     io_timeout: Duration,
 ) -> io::Result<String> {
-    let mut client = Client::connect_timeout(&addr, connect)?;
-    client.set_io_timeouts(Some(io_timeout), Some(io_timeout))?;
-    client.send_line(line)
+    let exchange = |client: &mut Client| {
+        client.set_io_timeouts(Some(io_timeout), Some(io_timeout))?;
+        client.send_line(line)
+    };
+    let (mut client, reused) = backend.checkout(connect)?;
+    let mut result = exchange(&mut client);
+    if reused && matches!(&result, Err(e) if !is_timeout(e)) {
+        backend.idle.lock().clear();
+        client = Client::connect_timeout(&backend.addr, connect)?;
+        result = exchange(&mut client);
+    }
+    let response = result?;
+    backend.checkin(client);
+    Ok(response)
 }
 
-fn fetch_line(addr: SocketAddr, line: &str, config: &CoordinatorConfig) -> io::Result<String> {
+fn fetch_line(backend: &Backend, line: &str, config: &CoordinatorConfig) -> io::Result<String> {
     let io_timeout = config.connect_timeout.max(Duration::from_millis(250));
-    fetch_line_with(addr, line, config.connect_timeout, io_timeout)
+    fetch_line_with(backend, line, config.connect_timeout, io_timeout)
 }
 
 fn stats_line(shared: &CoordShared) -> String {
@@ -1957,7 +2094,7 @@ fn aggregate_backend_stats(shared: &CoordShared) -> BTreeMap<String, f64> {
         if !backend.is_up() {
             continue;
         }
-        let Ok(line) = fetch_line(backend.addr, "STATS", &shared.config) else {
+        let Ok(line) = fetch_line(backend, "STATS", &shared.config) else {
             backend.report_failure(shared.config.down_after);
             continue;
         };
@@ -2504,8 +2641,10 @@ mod tests {
             "one first attempt per shard: {}",
             body[0]
         );
+        // Shard execution records a `query_shard` root over `materialize`
+        // and `score`; it has no `set_retrieval` span of its own.
         assert_eq!(
-            body[0].matches("\"name\":\"set_retrieval\"").count(),
+            body[0].matches("\"name\":\"query_shard\"").count(),
             2,
             "each backend's engine spans must be grafted: {}",
             body[0]
@@ -2516,18 +2655,16 @@ mod tests {
             body[0]
         );
 
-        // TRACE BACKEND i routes to one backend's ring (the traced shard
-        // sub-requests force-logged there too); bad forms answer
-        // structured errors.
+        // TRACE BACKEND i routes to one backend's ring, not the
+        // coordinator's (which holds the entry fetched above). That ring
+        // is empty: a traced shard sub-request's spans travel home on its
+        // `shard` response instead of being logged where they were
+        // recorded. Bad forms answer structured errors.
         let routed = send_lines(
             coord,
             &["TRACE BACKEND 0", "TRACE BACKEND 9", "TRACE BACKEND x"],
         );
-        assert!(
-            routed[0].starts_with(r#"{"traces""#) && routed[0].contains("shard=0/2"),
-            "{}",
-            routed[0]
-        );
+        assert_eq!(routed[0], r#"{"traces":{"entries":[]}}"#);
         assert!(routed[1].contains("out of range"), "{}", routed[1]);
         assert!(routed[2].contains("usage"), "{}", routed[2]);
 
@@ -2537,6 +2674,114 @@ mod tests {
         send_lines(b1, &["SHUTDOWN"]);
         h0.join().expect("backend 0");
         h1.join().expect("backend 1");
+    }
+
+    /// Join `handle`, failing the test if the thread is still running
+    /// after `limit`.
+    fn join_within<T: Send + 'static>(handle: std::thread::JoinHandle<T>, limit: Duration) -> T {
+        let (done, joined) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(handle.join());
+        });
+        joined
+            .recv_timeout(limit)
+            .unwrap_or_else(|_| panic!("still running {limit:?} after SHUTDOWN"))
+            .expect("thread panicked")
+    }
+
+    #[test]
+    fn stale_pooled_connection_is_redialed_without_blaming_the_backend() {
+        let (b0, h0) = spawn_backend();
+        let (b1, h1) = spawn_backend();
+        let coordinator = Coordinator::bind(
+            vec![b0, b1],
+            "127.0.0.1:0",
+            CoordinatorConfig {
+                // One sweep at start-up, then none for the rest of the test.
+                heartbeat_interval: Duration::from_secs(600),
+                ..test_config()
+            },
+        )
+        .expect("bind coordinator");
+        let shared = Arc::clone(&coordinator.shared);
+        let coord = coordinator.local_addr();
+        let hc = std::thread::spawn(move || coordinator.run());
+
+        let query = format!("QUERY {QTEXT}");
+        let mut client = Client::connect(coord).expect("connect");
+        let first = client.send_line(&query).expect("first answer");
+        assert!(first.starts_with(r#"{"result""#), "{first}");
+        assert_eq!(shared.backends[0].idle.lock().len(), 1);
+
+        // Replace backend 0 by a new server on the same port. Joining the
+        // old one closes its end of the pooled connection.
+        send_lines(b0, &["SHUTDOWN"]);
+        h0.join().expect("backend 0");
+        let detector = OutlierDetector::new(toy::figure1_network()).with_vector_cache(256);
+        let reborn = Server::bind_retry(
+            detector,
+            b0,
+            ServerConfig::default(),
+            50,
+            Duration::from_millis(10),
+        )
+        .expect("rebind backend 0's port");
+        let h0 = std::thread::spawn(move || reborn.run());
+
+        // The query finds the dead connection, redials, and is answered —
+        // and nothing of that is held against the backend.
+        let second = client.send_line(&query).expect("second answer");
+        assert_eq!(strip_exec_us(&second), strip_exec_us(&first));
+        let snapshot = shared.snapshot();
+        assert_eq!(snapshot.failovers, 0, "{snapshot:?}");
+        assert_eq!(snapshot.hedges, 0, "{snapshot:?}");
+        assert_eq!(snapshot.backends[0].marked_down, 0, "{snapshot:?}");
+        assert_eq!(snapshot.backends[0].consecutive_failures, 0, "{snapshot:?}");
+        assert_eq!(
+            shared.backends[0].breaker.lock().window,
+            [true, true],
+            "one fast success per query and nothing else"
+        );
+        assert_eq!(shared.backends[0].idle.lock().len(), 1);
+        let stats = send_lines(b0, &["STATS"]);
+        assert!(stats[0].contains(r#""completed":1"#), "{}", stats[0]);
+
+        drop(client);
+        send_lines(coord, &["SHUTDOWN"]);
+        hc.join().expect("coordinator");
+        send_lines(b0, &["SHUTDOWN"]);
+        send_lines(b1, &["SHUTDOWN"]);
+        h0.join().expect("reborn backend 0");
+        h1.join().expect("backend 1");
+    }
+
+    #[test]
+    fn shutdown_wakes_blocked_acceptors_promptly() {
+        const LIMIT: Duration = Duration::from_millis(250);
+        let (b0, h0) = spawn_backend();
+        let (b1, h1) = spawn_backend();
+        let (coord, hc) = spawn_coordinator(vec![b0, b1], test_config());
+        // Leave idle pooled connections between coordinator and backends.
+        let responses = send_lines(coord, &[&format!("QUERY {QTEXT}")]);
+        assert!(responses[0].starts_with(r#"{"result""#), "{}", responses[0]);
+
+        // A backend whose peer (the coordinator, holding a connection to
+        // it) is still up.
+        send_lines(b0, &["SHUTDOWN"]);
+        join_within(h0, LIMIT);
+        // A coordinator holding an idle pooled connection (to backend 1).
+        send_lines(coord, &["SHUTDOWN"]);
+        join_within(hc, LIMIT);
+        send_lines(b1, &["SHUTDOWN"]);
+        join_within(h1, LIMIT);
+
+        // A listener on the unspecified address is woken over loopback.
+        let detector = OutlierDetector::new(toy::figure1_network());
+        let server = Server::bind(detector, "0.0.0.0:0", ServerConfig::default()).expect("bind");
+        let port = server.local_addr().port();
+        let handle = std::thread::spawn(move || server.run());
+        send_lines(SocketAddr::from(([127, 0, 0, 1], port)), &["SHUTDOWN"]);
+        join_within(handle, LIMIT);
     }
 
     #[test]

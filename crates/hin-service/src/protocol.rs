@@ -636,7 +636,7 @@ impl ShardBody {
     ) -> ShardBody {
         ShardBody {
             measure: s.measure.to_string(),
-            asc: matches!(s.order, netout::ScoreOrder::Ascending),
+            asc: matches!(s.order, netout::ScoreOrder::AscendingIsOutlier),
             top: s.top,
             shard,
             of,
@@ -682,14 +682,19 @@ pub fn trace_node_from_value(v: &crate::json::Value) -> Result<hin_telemetry::Tr
     if let Some(pairs) = v.get("fields").and_then(|f| f.as_array()) {
         for pair in pairs {
             let kv = pair.as_array().ok_or("span field is not a pair")?;
-            match kv.as_slice() {
+            match kv {
                 [k, val] => {
                     let key = k.as_str().ok_or("span field key is not a string")?;
                     // Field values serialize as strings or numbers; keep
                     // the wire text either way.
-                    let text = match val.as_str() {
-                        Some(s) => s.to_string(),
-                        None => crate::json::to_string(val).map_err(|e| e.to_string())?,
+                    let text = match val {
+                        crate::json::Value::Str(s) => s.clone(),
+                        crate::json::Value::Num(raw) => raw.clone(),
+                        other => {
+                            return Err(format!(
+                                "span field value {other:?} is neither a string nor a number"
+                            ))
+                        }
                     };
                     fields.push((key.to_string(), text));
                 }

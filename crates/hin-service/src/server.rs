@@ -3,7 +3,7 @@
 //! One process loads the graph (plus optional PM/SPM index) once and serves
 //! many clients over newline-delimited TCP:
 //!
-//! * an **acceptor** loop takes connections and spawns one handler thread
+//! * an **acceptor** loop blocks in `accept` and spawns one handler thread
 //!   per connection;
 //! * connection handlers parse request lines and either answer inline
 //!   (`PING`, `STATS`, `SHUTDOWN`) or submit a [`Job`] to a **bounded
@@ -15,8 +15,9 @@
 //!   the socket; a client that hangs up trips the job's
 //!   [`netout::CancelToken`], so abandoned queries stop consuming workers
 //!   at the next budget checkpoint;
-//! * `SHUTDOWN` drains: the acceptor stops, queued jobs finish, workers
-//!   exit, and [`Server::run`] returns the final statistics snapshot.
+//! * `SHUTDOWN` drains: the acceptor is woken by a loopback connection and
+//!   stops, queued jobs finish, workers exit, and [`Server::run`] returns
+//!   the final statistics snapshot.
 //!
 //! ## Fault tolerance (DESIGN.md §11)
 //!
@@ -358,6 +359,9 @@ struct Shared {
     detector: OutlierDetector,
     stats: ServerStats,
     config: ServerConfig,
+    /// The listener's address: `SHUTDOWN` connects to it to wake the
+    /// acceptor out of `accept`.
+    addr: SocketAddr,
     shutdown: AtomicBool,
     /// Fault-injection plan + request sequence + injection counters.
     faults: FaultState,
@@ -573,6 +577,7 @@ impl Server {
             detector,
             stats: ServerStats::new(),
             config,
+            addr,
             shutdown: AtomicBool::new(false),
             faults,
             dedup,
@@ -661,12 +666,15 @@ impl Server {
         };
         drop(job_rx);
 
-        listener
-            .set_nonblocking(true)
-            .unwrap_or_else(|e| panic!("set_nonblocking on listener: {e}"));
         let mut handlers = Vec::new();
-        while !shared.shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
+        loop {
+            let accepted = listener.accept();
+            // Checked after every return from `accept`: the connection
+            // that `SHUTDOWN` makes to wake this loop ends it.
+            if shared.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
                     shared.stats.inc(&shared.stats.connections);
                     let shared = Arc::clone(&shared);
@@ -683,9 +691,7 @@ impl Server {
                         handlers.retain(|h| !h.is_finished());
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                // Out of descriptors, say: do not spin on it.
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
@@ -741,6 +747,21 @@ pub fn bind_listener_retry(
             }
             Err(e) => return Err(e),
         }
+    }
+}
+
+/// Wake a listener blocked in `accept`, after its shutdown flag has been
+/// set, by connecting to it once. A listener bound to the unspecified
+/// address (`0.0.0.0`, `::`) is reached over loopback.
+pub(crate) fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if let Err(e) = TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+        hin_telemetry::logfmt!("acceptor_wake_failed", addr = addr, error = e);
     }
 }
 
@@ -1353,8 +1374,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream, job_tx: &Sender<Job>) {
             Request::Trace { id } => Some(shared.trace_response(*id)),
             Request::Shutdown => {
                 let draining = shared.queue_depth();
-                shared.shutdown.store(true, Ordering::Relaxed);
+                shared.shutdown.store(true, Ordering::SeqCst);
                 reader.write_response(&Response::Bye { draining });
+                wake_acceptor(shared.addr);
                 return;
             }
             Request::Faults(cmd) => {
@@ -1850,7 +1872,8 @@ mod tests {
             50,
             Duration::from_millis(100),
         )
-        .expect_err("binding a non-local address must fail");
+        .err()
+        .expect("binding a non-local address must fail");
         assert_ne!(err.kind(), ErrorKind::AddrInUse);
         assert!(
             started.elapsed() < Duration::from_secs(2),
@@ -1989,13 +2012,16 @@ mod tests {
             responses[2]
         );
         // Fetch the logged entry and check its span tree reaches the
-        // engine phases.
+        // engine phases. The server's default mode is best-effort, whose
+        // progressive executor records `materialize` and `score` spans;
+        // the `query` root and its `set_retrieval` child belong to the
+        // strict executor only.
         let id = crate::client::json_u64_field(&responses[2], "id").expect("entry id");
         let trace = send_lines(addr, &[&format!("TRACE {id}"), "TRACE 999999999"]);
         assert!(
             trace[0].starts_with(r#"{"trace""#)
-                && trace[0].contains(r#""name":"query""#)
-                && trace[0].contains(r#""name":"set_retrieval""#),
+                && trace[0].contains(r#""name":"materialize""#)
+                && trace[0].contains(r#""name":"score""#),
             "{}",
             trace[0]
         );

@@ -12,7 +12,7 @@
 //!    structured `NoBackends` error), and never hangs or panics.
 
 use hin_datagen::dblp::{generate, SyntheticConfig};
-use hin_datagen::workload::{generate_queries, QueryTemplate};
+use hin_datagen::workload::{all_template_queries, generate_queries, QueryTemplate};
 use hin_service::{Client, Coordinator, CoordinatorConfig, Server, ServerConfig, StatsSnapshot};
 use netout::{MeasureKind, OutlierDetector};
 use std::net::SocketAddr;
@@ -286,7 +286,7 @@ fn tracing_is_invisible_across_failover_and_hedging() {
         .expect("fetch trace")
         .expect("ring has entries");
     let rendered = hin_telemetry::trace::render_tree(&trace.spans);
-    for span in ["carve", "scatter", "merge", "attempt", "set_retrieval"] {
+    for span in ["carve", "scatter", "merge", "attempt", "query_shard"] {
         assert!(rendered.contains(span), "missing {span} in:\n{rendered}");
     }
 
@@ -296,6 +296,91 @@ fn tracing_is_invisible_across_failover_and_hedging() {
         snapshot.failovers + snapshot.hedges >= 1,
         "the kill plan and 1ms hedge trigger must have exercised extra attempts: {snapshot:?}"
     );
+    shutdown(b0);
+    shutdown(b1);
+    b0_h.join().expect("backend 0");
+    b1_h.join().expect("backend 1");
+}
+
+/// Connection reuse must never hand one query another query's answer
+/// (DESIGN.md §13): the connection of an attempt that lost a hedge race
+/// still has a response coming, so it is closed, not pooled.
+#[test]
+fn hedge_loser_connection_is_closed_and_answers_never_cross() {
+    let seed = 59;
+    let config = ServerConfig {
+        workers: 2,
+        queue_cap: 16,
+        ..ServerConfig::default()
+    };
+    let (b0, b0_h) = spawn_backend(detector(seed, MeasureKind::NetOut), config.clone());
+    let (b1, b1_h) = spawn_backend(detector(seed, MeasureKind::NetOut), config);
+    let (coord, coord_h) = spawn_coordinator(
+        vec![b0, b1],
+        CoordinatorConfig {
+            hedge_after: Duration::from_millis(20),
+            ..coordinator_config()
+        },
+    );
+
+    // One Q1 instance per active author, keeping 21 whose single-box
+    // answers all differ: a swapped answer cannot pass for the right one.
+    let net = generate(&SyntheticConfig::tiny(seed));
+    let mut control = Client::connect(b1).expect("connect control");
+    let mut workload: Vec<(String, String)> = Vec::new();
+    for query in all_template_queries(&net.graph, QueryTemplate::Q1) {
+        let want = control
+            .send_line(&format!("QUERY {query}"))
+            .expect("control response");
+        if want.starts_with(r#"{"result""#)
+            && workload
+                .iter()
+                .all(|(_, seen)| strip_exec_us(seen) != strip_exec_us(&want))
+        {
+            workload.push((query, want));
+        }
+        if workload.len() == 21 {
+            break;
+        }
+    }
+    assert_eq!(workload.len(), 21, "fixture has too few distinct answers");
+
+    // Backend 0 stalls the next request it executes for far longer than the
+    // hedge mark: shard 0's first attempt loses the race to its hedge on
+    // backend 1 and is cancelled while its response is still to come.
+    let mut client = Client::connect(coord).expect("connect");
+    let faults = client
+        .send_line("FAULTS 0 delay@0:2000")
+        .expect("install fault plan");
+    assert!(faults.starts_with(r#"{"faults""#), "{faults}");
+    for (query, want) in &workload {
+        let got = client
+            .send_line(&format!("QUERY {query}"))
+            .expect("response");
+        assert_eq!(strip_exec_us(&got), strip_exec_us(want), "query {query:?}");
+    }
+
+    // The backend saw the loser's connection close: it cancelled the
+    // stalled request instead of answering into a pooled connection.
+    let mut probe = Client::connect(b0).expect("connect backend 0");
+    let waited = Instant::now();
+    loop {
+        let stats = probe.send_line("STATS").expect("backend 0 stats");
+        if hin_service::client::json_u64_field(&stats, "cancelled") == Some(1) {
+            break;
+        }
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "backend 0 never saw the hedge loser disconnect: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop((client, control, probe));
+
+    shutdown(coord);
+    let snapshot = coord_h.join().expect("coordinator");
+    assert_eq!(snapshot.hedges, 1, "{snapshot:?}");
+    assert_eq!(snapshot.failovers, 0, "{snapshot:?}");
     shutdown(b0);
     shutdown(b1);
     b0_h.join().expect("backend 0");
