@@ -1,48 +1,26 @@
-//! Intra-query parallel scaling and sparse-kernel comparison (extension;
-//! backs the DESIGN.md §10 parallel-execution claims).
+//! Intra-query parallel scaling (extension; backs the DESIGN.md §10
+//! parallel-execution claims).
 //!
-//! Two sweeps, both over the synthetic DBLP network:
+//! Runs one NetOut Q1 workload over the synthetic DBLP network per thread
+//! count through [`OutlierDetector::with_threads`], recording workload
+//! latency and whether the ranked results (ids, score bits, zero-visibility
+//! sets) are identical to the single-threaded run. They must be: sharding
+//! is deterministic and merges preserve candidate order.
 //!
-//! 1. **Kernel** — materialize `Φ_P` for a sample of authors along a
-//!    fan-out-heavy meta-path through the legacy hash-map accumulator and
-//!    through the reusable [`DenseAccumulator`] workspace. Outputs are
-//!    asserted bit-identical; the timing delta is the dense-kernel speedup.
-//! 2. **Threads** — run one NetOut Q1 workload per thread count through
-//!    [`OutlierDetector::with_threads`], recording workload latency and
-//!    whether the ranked results (ids, score bits, zero-visibility sets)
-//!    are identical to the single-threaded run. They must be: sharding is
-//!    deterministic and merges preserve candidate order.
+//! The sparse propagation kernel itself is pinned by `hinbench`
+//! (`graph.propagate_ns_per_edge`), not here.
 //!
-//! Results are printed as tables and written to `BENCH_parallel.json`.
+//! Results are printed as a table and written to `BENCH_parallel.json`.
 
-use crate::report::{ms, Table};
+use crate::report::Table;
 use crate::setup;
 use hin_datagen::dblp::SyntheticNetwork;
 use hin_datagen::workload::{generate_queries, QueryTemplate};
-use hin_graph::sparse::DenseAccumulator;
-use hin_graph::traverse::{neighbor_vector_with, propagate_step_hashmap};
-use hin_graph::{HinGraph, MetaPath, SparseVec, VertexId};
+use hin_graph::VertexId;
 use hin_query::validate::{parse_and_bind, BoundQuery};
 use netout::{OutlierDetector, QueryResult};
 use serde::Serialize;
-use std::time::{Duration, Instant};
-
-/// The fan-out-heavy feature path the kernel sweep materializes: every hop
-/// multiplies the frontier, so accumulator cost dominates.
-const KERNEL_PATH: &str = "author.paper.venue.paper.author";
-
-/// One kernel measurement.
-#[derive(Debug, Clone, Serialize)]
-pub struct KernelPoint {
-    /// Which accumulator produced this point.
-    pub kernel: &'static str,
-    /// Vectors materialized per repetition.
-    pub vectors: usize,
-    /// Total non-zeros across the final vectors (same for both kernels).
-    pub output_nnz: u64,
-    /// Total time across all repetitions, in microseconds.
-    pub time_us: u64,
-}
+use std::time::Instant;
 
 /// One thread-count measurement.
 #[derive(Debug, Clone, Serialize)]
@@ -62,91 +40,10 @@ pub struct ThreadPoint {
 pub struct ParallelReport {
     /// Network scale factor the experiment ran at.
     pub scale: f64,
-    /// Meta-path the kernel sweep materialized.
-    pub kernel_path: &'static str,
-    /// `hashmap time / dense time` — > 1 means the workspace kernel wins.
-    pub kernel_speedup: f64,
-    /// One entry per kernel variant.
-    pub kernels: Vec<KernelPoint>,
     /// Queries in the thread-sweep workload.
     pub queries: usize,
     /// One entry per thread count.
     pub threads: Vec<ThreadPoint>,
-}
-
-/// `Φ_P(v)` computed hop-by-hop through the legacy hash-map accumulator —
-/// the pre-workspace engine hot path, kept in `hin-graph` as the baseline.
-fn phi_hashmap(graph: &HinGraph, v: VertexId, path: &MetaPath) -> SparseVec {
-    let mut frontier = SparseVec::unit(v);
-    for link in path.types().windows(2) {
-        frontier = propagate_step_hashmap(graph, &frontier, link[1]);
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    frontier
-}
-
-/// Time both kernels over the same vertex sample. Panics if the kernels
-/// ever disagree — equivalence is a correctness invariant, not a finding.
-pub fn measure_kernels(net: &SyntheticNetwork, sample: usize, reps: usize) -> Vec<KernelPoint> {
-    let g = &net.graph;
-    let author_t = g
-        .schema()
-        .vertex_type_by_name("author")
-        .expect("bibliographic schema has authors");
-    let path = MetaPath::parse(KERNEL_PATH, g.schema()).expect("kernel path parses");
-    let authors = g.vertices_of_type(author_t);
-    let sample = sample.min(authors.len()).max(1);
-    let stride = (authors.len() / sample).max(1);
-    let vertices: Vec<VertexId> = authors
-        .iter()
-        .step_by(stride)
-        .take(sample)
-        .copied()
-        .collect();
-
-    // Warm-up pass doubling as the equivalence check.
-    let mut ws = DenseAccumulator::new();
-    let mut output_nnz = 0u64;
-    for &v in &vertices {
-        let dense = neighbor_vector_with(g, v, &path, &mut ws).expect("author starts the path");
-        let hashed = phi_hashmap(g, v, &path);
-        assert_eq!(dense, hashed, "kernels disagree on Φ({v:?})");
-        output_nnz += dense.nnz() as u64;
-    }
-
-    let mut hash_time = Duration::ZERO;
-    let mut dense_time = Duration::ZERO;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        for &v in &vertices {
-            std::hint::black_box(phi_hashmap(g, v, &path));
-        }
-        hash_time += t.elapsed();
-        let t = Instant::now();
-        for &v in &vertices {
-            std::hint::black_box(
-                neighbor_vector_with(g, v, &path, &mut ws).expect("author starts the path"),
-            );
-        }
-        dense_time += t.elapsed();
-    }
-
-    vec![
-        KernelPoint {
-            kernel: "hashmap",
-            vectors: vertices.len(),
-            output_nnz,
-            time_us: hash_time.as_micros() as u64,
-        },
-        KernelPoint {
-            kernel: "dense",
-            vectors: vertices.len(),
-            output_nnz,
-            time_us: dense_time.as_micros() as u64,
-        },
-    ]
 }
 
 /// Everything about a [`QueryResult`] that must be invariant under thread
@@ -204,32 +101,12 @@ pub fn to_json(report: &ParallelReport) -> String {
     hin_service::json::to_string(report).expect("report serializes")
 }
 
-/// Print both sweeps and write `BENCH_parallel.json`. `quick` shrinks the
-/// sample and thread grid for CI smoke runs.
+/// Print the sweep and write `BENCH_parallel.json`. `quick` shrinks the
+/// workload and thread grid for CI smoke runs.
 pub fn run(quick: bool) {
     let net = setup::network();
-    let (sample, reps) = if quick { (64, 1) } else { (512, 3) };
     let n = setup::workload_size().min(if quick { 12 } else { 100 });
     let thread_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-
-    let kernels = measure_kernels(&net, sample, reps);
-    let speedup = kernels[0].time_us as f64 / (kernels[1].time_us as f64).max(1.0);
-    let mut t = Table::new(
-        format!(
-            "Sparse accumulator kernels — {} × Φ along {KERNEL_PATH}, {reps} rep(s)",
-            kernels[0].vectors
-        ),
-        &["kernel", "time (ms)", "output nnz"],
-    );
-    for k in &kernels {
-        t.row(&[
-            k.kernel.to_string(),
-            ms(Duration::from_micros(k.time_us)),
-            k.output_nnz.to_string(),
-        ]);
-    }
-    t.print();
-    println!("note: dense workspace speedup ×{speedup:.2}; outputs asserted bit-identical\n");
 
     let queries = generate_queries(&net.graph, QueryTemplate::Q1, n, setup::seed());
     let bound: Vec<_> = queries
@@ -263,9 +140,6 @@ pub fn run(quick: bool) {
 
     let report = ParallelReport {
         scale: setup::scale(),
-        kernel_path: KERNEL_PATH,
-        kernel_speedup: speedup,
-        kernels,
         queries: n,
         threads,
     };
@@ -280,18 +154,6 @@ pub fn run(quick: bool) {
 mod tests {
     use super::*;
     use hin_datagen::dblp::{generate, SyntheticConfig};
-
-    #[test]
-    fn kernels_measure_and_agree() {
-        let net = generate(&SyntheticConfig::tiny(3));
-        let points = measure_kernels(&net, 16, 1);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].kernel, "hashmap");
-        assert_eq!(points[1].kernel, "dense");
-        // Same sample ⇒ same output mass.
-        assert_eq!(points[0].output_nnz, points[1].output_nnz);
-        assert!(points.iter().all(|p| p.vectors > 0));
-    }
 
     #[test]
     fn thread_sweep_is_identical_across_counts() {
@@ -311,13 +173,8 @@ mod tests {
 
     #[test]
     fn report_serializes() {
-        let net = generate(&SyntheticConfig::tiny(3));
-        let kernels = measure_kernels(&net, 8, 1);
         let json = to_json(&ParallelReport {
             scale: 0.1,
-            kernel_path: KERNEL_PATH,
-            kernel_speedup: 1.0,
-            kernels,
             queries: 0,
             threads: vec![ThreadPoint {
                 threads: 1,
@@ -327,7 +184,6 @@ mod tests {
             }],
         });
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"kernel\":\"hashmap\""), "{json}");
         assert!(json.contains("\"identical\":true"), "{json}");
     }
 }

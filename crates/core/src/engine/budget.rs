@@ -28,9 +28,9 @@
 
 use crate::engine::stats::ExecBreakdown;
 use crate::error::EngineError;
-use hin_graph::DenseAccumulator;
+use hin_graph::PooledAccumulator;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -229,25 +229,14 @@ struct ArmedBudget {
     cancel: Option<CancelToken>,
 }
 
-/// State shared by all shards of one parallel execution.
-///
-/// * `stop` — raised by a shard that hit a budget error so its siblings
-///   abandon work early instead of running to their own deadline.
-/// * `peak_nnz` — fleet-wide peak intermediate sparse-vector population,
-///   maintained with `fetch_max` so budget accounting composes across
-///   threads (each shard still enforces `max_nnz` against its own frontier,
-///   which is the per-vector semantics of the serial engine).
+/// State shared by all shards of one parallel execution: the `stop` flag,
+/// raised by a shard that hit a budget error so its siblings abandon work
+/// early instead of running to their own deadline. (Each shard enforces
+/// `max_nnz` against its own frontier, which is the per-vector semantics of
+/// the serial engine; peaks are merged when shard stats are absorbed.)
 #[derive(Debug, Default)]
 pub(crate) struct ShardShared {
     stop: AtomicBool,
-    peak_nnz: AtomicU64,
-}
-
-impl ShardShared {
-    /// Fleet-wide peak frontier `nnz` observed so far.
-    pub(crate) fn peak_nnz(&self) -> u64 {
-        self.peak_nnz.load(Ordering::Relaxed)
-    }
 }
 
 /// Per-execution context: the timing breakdown plus the armed budget.
@@ -256,7 +245,7 @@ impl ShardShared {
 /// threaded by `&mut` through set evaluation, vector materialization, and
 /// scoring. All strategy code records timings into [`ExecCtx::stats`] and
 /// calls the `check*` methods at work-proportional intervals.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ExecCtx {
     /// Per-phase timing and counter breakdown, exposed on
     /// [`QueryResult`](crate::engine::executor::QueryResult).
@@ -266,9 +255,11 @@ pub struct ExecCtx {
     /// Worker-thread target for intra-query parallel stages (`0` = unset,
     /// treated as 1 by [`ExecCtx::threads`]).
     threads: usize,
-    /// Reusable dense-accumulator workspace for sparse propagation; owned
-    /// per context so every shard scatters into its own buffer.
-    workspace: DenseAccumulator,
+    /// Scatter workspace for sparse propagation, checked out of the
+    /// process-wide free list by the context's first traversal and handed
+    /// back when the context drops. One per context, so every shard
+    /// scatters into its own buffer.
+    workspace: Option<PooledAccumulator>,
     /// Present only in forked shard contexts (and their parent while a
     /// parallel stage runs).
     shared: Option<Arc<ShardShared>>,
@@ -327,34 +318,37 @@ impl ExecCtx {
         self.threads.max(1)
     }
 
-    /// Detach the reusable dense-accumulator workspace.
+    /// Detach the context's scatter workspace, checking one out of the free
+    /// list on first use.
     ///
     /// Take/restore (rather than borrowing a field) lets callers pass the
     /// workspace to `hin-graph` kernels while still holding `&mut self` for
-    /// budget checkpoints.
-    pub(crate) fn take_workspace(&mut self) -> DenseAccumulator {
-        std::mem::take(&mut self.workspace)
+    /// budget checkpoints. A workspace that is never restored (the caller
+    /// unwound) returns to the free list on its own.
+    pub(crate) fn take_workspace(&mut self) -> PooledAccumulator {
+        self.workspace
+            .take()
+            .unwrap_or_else(PooledAccumulator::checkout)
     }
 
     /// Return the workspace taken with [`ExecCtx::take_workspace`]. Clears
     /// it defensively: an error path may have abandoned a scatter midway.
-    pub(crate) fn restore_workspace(&mut self, mut ws: DenseAccumulator) {
+    pub(crate) fn restore_workspace(&mut self, mut ws: PooledAccumulator) {
         ws.clear();
-        self.workspace = ws;
+        self.workspace = Some(ws);
     }
 
     /// Create a single-threaded shard context for one worker of a parallel
     /// stage: same armed budget (the *absolute* deadline and the shared
-    /// cancellation flag carry over), same phase, fresh stats and workspace,
-    /// wired to `shared` for peer-stop signalling and fleet-wide `nnz`
-    /// accounting.
+    /// cancellation flag carry over), same phase, fresh stats, a workspace of
+    /// its own, wired to `shared` for peer-stop signalling.
     pub(crate) fn fork(&self, shared: Arc<ShardShared>) -> ExecCtx {
         ExecCtx {
             stats: ExecBreakdown::default(),
             budget: self.budget.clone(),
             phase: self.phase,
             threads: 1,
-            workspace: DenseAccumulator::new(),
+            workspace: None,
             shared: Some(shared),
             stopped_by_peer: false,
             tracing: self.tracing,
@@ -478,9 +472,6 @@ impl ExecCtx {
     pub fn check_frontier(&mut self, nnz: usize) -> Result<(), EngineError> {
         self.chunk_peak_nnz = self.chunk_peak_nnz.max(nnz);
         self.stats.peak_frontier_nnz = self.stats.peak_frontier_nnz.max(nnz as u64);
-        if let Some(shared) = &self.shared {
-            shared.peak_nnz.fetch_max(nnz as u64, Ordering::Relaxed);
-        }
         if let Some(max) = self.budget.max_nnz {
             if nnz > max {
                 return Err(EngineError::BudgetExceeded {
@@ -700,14 +691,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_peak_nnz_composes_across_shards() {
+    fn peak_nnz_composes_across_shards() {
         let parent = ExecCtx::unbounded();
         let shared = Arc::new(ShardShared::default());
         let mut a = parent.fork(Arc::clone(&shared));
         let mut b = parent.fork(Arc::clone(&shared));
         a.check_frontier(100).unwrap();
         b.check_frontier(40).unwrap();
-        assert_eq!(shared.peak_nnz(), 100);
         assert_eq!(a.stats.peak_frontier_nnz, 100);
         assert_eq!(b.stats.peak_frontier_nnz, 40);
         // Parent absorb: counters sum, peaks max.

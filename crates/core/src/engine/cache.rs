@@ -158,10 +158,6 @@ impl VectorCache {
         self.inner.lock().bytes
     }
 
-    fn get(&self, key: &Key) -> Option<SparseVec> {
-        self.get_with_norm(key).map(|(vec, _)| vec)
-    }
-
     /// Cached vector plus its precomputed `‖Φ‖²`.
     fn get_with_norm(&self, key: &Key) -> Option<(SparseVec, f64)> {
         let mut inner = self.inner.lock();
@@ -177,11 +173,6 @@ impl VectorCache {
         inner.log.push_back((key.clone(), stamp));
         inner.stats.hits += 1;
         Some((vec, norm2_sq))
-    }
-
-    fn put(&self, key: Key, vec: SparseVec) {
-        let norm2_sq = vec.norm2_sq();
-        self.put_with_norm(key, vec, norm2_sq);
     }
 
     fn put_with_norm(&self, key: Key, vec: SparseVec, norm2_sq: f64) {
@@ -293,10 +284,8 @@ impl VectorSource for CachedSource<'_> {
 // instance behind an `Arc`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    const fn _check() {
-        assert_send_sync::<VectorCache>();
-        assert_send_sync::<CacheStats>();
-    }
+    assert_send_sync::<VectorCache>();
+    assert_send_sync::<CacheStats>();
 };
 
 #[cfg(test)]
@@ -305,6 +294,17 @@ mod tests {
     use crate::engine::source::TraversalSource;
     use hin_datagen::toy;
     use hin_graph::traverse;
+
+    impl VectorCache {
+        fn get(&self, key: &Key) -> Option<SparseVec> {
+            self.get_with_norm(key).map(|(vec, _)| vec)
+        }
+
+        fn put(&self, key: Key, vec: SparseVec) {
+            let norm2_sq = vec.norm2_sq();
+            self.put_with_norm(key, vec, norm2_sq);
+        }
+    }
 
     fn key(g: &hin_graph::HinGraph, name: &str, path: &str) -> Key {
         let author = g.schema().vertex_type_by_name("author").unwrap();

@@ -9,7 +9,10 @@
 use crate::engine::budget::ExecCtx;
 use crate::engine::set_eval::eval_set;
 use crate::engine::source::TraversalSource;
-use hin_graph::{traverse, HinGraph, MetaPath, SparseMatrix, SparseVec, VertexId, VertexTypeId};
+use hin_graph::{
+    traverse, HinGraph, MetaPath, PooledAccumulator, SparseMatrix, SparseVec, VertexId,
+    VertexTypeId,
+};
 use hin_query::validate::BoundQuery;
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -241,17 +244,24 @@ fn materialize_rows(
     vertices: &[VertexId],
     threads: usize,
 ) -> Vec<(VertexId, SparseVec)> {
-    let compute = |v: VertexId| {
-        // Invariant: callers only pass vertices whose type matches the
-        // chunk's source type, so traversal cannot fail.
-        #[allow(clippy::expect_used)]
-        let phi = traverse::neighbor_vector(graph, v, chunk)
-            .expect("chunk starts at the vertex's type by construction");
-        (v, phi)
+    // One pooled workspace per shard serves every hop of every row in it.
+    let compute_shard = |shard: &[VertexId]| {
+        let mut ws = PooledAccumulator::checkout();
+        shard
+            .iter()
+            .map(|&v| {
+                // Invariant: callers only pass vertices whose type matches
+                // the chunk's source type, so traversal cannot fail.
+                #[allow(clippy::expect_used)]
+                let phi = traverse::neighbor_vector_with(graph, v, chunk, &mut ws)
+                    .expect("chunk starts at the vertex's type by construction");
+                (v, phi)
+            })
+            .collect::<Vec<_>>()
     };
     let threads = threads.max(1).min(vertices.len().max(1));
     if threads == 1 || vertices.len() < 256 {
-        return vertices.iter().map(|&v| compute(v)).collect();
+        return compute_shard(vertices);
     }
     // Parallel build: split the vertex list into contiguous shards; each
     // shard's rows come back in order, so concatenation preserves global
@@ -261,7 +271,7 @@ fn materialize_rows(
     std::thread::scope(|scope| {
         let handles: Vec<_> = vertices
             .chunks(shard_len)
-            .map(|shard| scope.spawn(move || shard.iter().map(|&v| compute(v)).collect::<Vec<_>>()))
+            .map(|shard| scope.spawn(move || compute_shard(shard)))
             .collect();
         for h in handles {
             // Propagating a worker panic is the only sensible response here;
@@ -392,16 +402,23 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_sequential() {
-        let g = toy::table1_network();
+        // 300 authors and 1 200 papers: past the 256-row floor below which
+        // a build stays on the calling thread, so the shards really run.
+        let g = hin_datagen::dblp::generate(&hin_datagen::dblp::SyntheticConfig::tiny(5)).graph;
         let seq = PmIndex::build_full(&g, ChunkSelection::All, 1);
-        let par = PmIndex::build_full(&g, ChunkSelection::All, 4);
-        assert_eq!(seq.path_count(), par.path_count());
-        assert_eq!(seq.total_rows(), par.total_rows());
-        assert_eq!(seq.nnz(), par.nnz());
-        let apv = MetaPath::parse("author.paper.venue", g.schema()).unwrap();
-        let author = g.schema().vertex_type_by_name("author").unwrap();
-        for &a in g.vertices_of_type(author) {
-            assert_eq!(seq.row(&apv, a), par.row(&apv, a));
+        for threads in [2, 7] {
+            let par = PmIndex::build_full(&g, ChunkSelection::All, threads);
+            assert_eq!(seq.path_count(), par.path_count());
+            for ((chunk, m_seq), (chunk_par, m_par)) in seq.chunks().into_iter().zip(par.chunks()) {
+                assert_eq!(chunk, chunk_par);
+                assert_eq!(m_seq.raw_parts(), m_par.raw_parts(), "{chunk:?}");
+                for &v in m_seq.raw_parts().0 {
+                    assert_eq!(
+                        seq.row_norm(chunk, v).map(f64::to_bits),
+                        par.row_norm(chunk, v).map(f64::to_bits)
+                    );
+                }
+            }
         }
     }
 

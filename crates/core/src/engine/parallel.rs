@@ -156,6 +156,9 @@ where
 mod tests {
     use super::*;
     use crate::engine::budget::{Budget, BudgetLimit, BudgetPhase, CancelToken};
+    use hin_graph::{
+        traverse, DenseAccumulator, HinGraph, MetaPath, PooledAccumulator, SparseVec, VertexId,
+    };
 
     fn ctx_with_threads(threads: usize) -> ExecCtx {
         let mut ctx = ExecCtx::unbounded();
@@ -243,7 +246,7 @@ mod tests {
         let done = AtomicU64::new(0);
         let items: Vec<u32> = (0..64).collect();
         let mut ctx = ctx_with_threads(4);
-        let err = run_sharded(&items, &mut ctx, |chunk, sctx| {
+        let err = run_sharded::<u32, u32, _>(&items, &mut ctx, |chunk, sctx| {
             if chunk[0] == 0 {
                 return Err(EngineError::EmptyCandidateSet);
             }
@@ -266,7 +269,7 @@ mod tests {
         let items: Vec<u32> = (0..64).collect();
         for threads in [2, 4] {
             let mut ctx = ctx_with_threads(threads);
-            let err = run_sharded(&items, &mut ctx, |chunk, sctx| {
+            let err = run_sharded::<u32, u32, _>(&items, &mut ctx, |chunk, sctx| {
                 if chunk[0] == 0 {
                     panic!("injected shard panic");
                 }
@@ -330,20 +333,115 @@ mod tests {
         assert!(hin_telemetry::trace::take().is_none());
     }
 
+    /// Φ along a four-hop path for every author of the Figure 1 network.
+    fn toy_traversals() -> (HinGraph, MetaPath, Vec<VertexId>) {
+        let g = hin_datagen::toy::figure1_network();
+        let path = MetaPath::parse("author.paper.venue.paper.author", g.schema()).unwrap();
+        let authors = g.vertices_of_type(path.source_type()).to_vec();
+        (g, path, authors)
+    }
+
+    #[test]
+    fn workspaces_come_back_clean_after_abort_and_shard_panic() {
+        use crate::engine::source::{TraversalSource, VectorSource};
+        let (g, path, authors) = toy_traversals();
+        let source = TraversalSource::new(&g);
+
+        // Every shard aborts on the nnz cap between two hops.
+        let mut ctx = ExecCtx::new(&Budget::default().with_max_nnz(1));
+        ctx.set_threads(3);
+        let err = run_sharded(&authors, &mut ctx, |chunk, sctx| {
+            chunk
+                .iter()
+                .map(|&a| source.neighbor_vector(a, &path, sctx))
+                .collect()
+        })
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::BudgetExceeded {
+                limit: BudgetLimit::FrontierNnz,
+                ..
+            }
+        ));
+        drop(ctx);
+
+        // Every shard panics holding its workspace, mid-scatter.
+        let mut ctx = ctx_with_threads(3);
+        let err = run_sharded::<_, u32, _>(&authors, &mut ctx, |chunk, sctx| {
+            let mut ws = sctx.take_workspace();
+            ws.add(chunk[0], 9.0);
+            panic!("injected mid-scatter panic");
+        })
+        .unwrap_err();
+        assert!(matches!(err, EngineError::Panicked { .. }));
+        drop(ctx);
+
+        // Whichever workspaces the next context is handed, its vectors are
+        // those of a new accumulator, bit for bit.
+        let mut ctx = ExecCtx::unbounded();
+        for &a in &authors {
+            let pooled = source.neighbor_vector(a, &path, &mut ctx).unwrap();
+            let fresh =
+                traverse::neighbor_vector_with(&g, a, &path, &mut DenseAccumulator::new()).unwrap();
+            let bits =
+                |phi: &SparseVec| -> Vec<_> { phi.iter().map(|(v, x)| (v, x.to_bits())).collect() };
+            assert_eq!(bits(&pooled), bits(&fresh));
+        }
+    }
+
+    #[test]
+    fn free_list_stays_bounded_under_seven_shard_threads() {
+        use crate::engine::source::{TraversalSource, VectorSource};
+        let (g, path, authors) = toy_traversals();
+        let source = TraversalSource::new(&g);
+        let items: Vec<_> = authors.iter().cycle().take(70).copied().collect();
+        // Workspaces held across the run: with the seven shards' own, more
+        // are out at once than the list keeps.
+        let held: Vec<_> = (0..PooledAccumulator::MAX_IDLE)
+            .map(|_| PooledAccumulator::checkout())
+            .collect();
+        for _ in 0..3 {
+            let mut ctx = ctx_with_threads(7);
+            let out = run_sharded(&items, &mut ctx, |chunk, sctx| {
+                chunk
+                    .iter()
+                    .map(|&a| source.neighbor_vector(a, &path, sctx))
+                    .collect()
+            })
+            .unwrap();
+            assert_eq!(out.len(), items.len());
+            assert!(PooledAccumulator::idle_count() <= PooledAccumulator::MAX_IDLE);
+        }
+        drop(held);
+        assert!(PooledAccumulator::idle_count() <= PooledAccumulator::MAX_IDLE);
+    }
+
     #[test]
     fn stats_absorbed_from_all_shards_even_on_error() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Shard 0 fails only after every other shard has run all of its
+        // checkpoints, so the stop flag it raises cannot cut their counts
+        // short.
+        let finished = AtomicUsize::new(0);
         let items: Vec<u32> = (0..40).collect();
         let mut ctx = ctx_with_threads(4);
-        let _ = run_sharded(&items, &mut ctx, |chunk, sctx| {
+        let err = run_sharded(&items, &mut ctx, |chunk, sctx| {
             for _ in chunk {
                 sctx.checkpoint()?;
             }
             if chunk[0] == 0 {
+                while finished.load(Ordering::Acquire) < 3 {
+                    std::thread::yield_now();
+                }
                 return Err(EngineError::EmptyCandidateSet);
             }
+            finished.fetch_add(1, Ordering::Release);
             Ok(chunk.to_vec())
-        });
-        // All four shards ran their checkpoints before the error surfaced.
+        })
+        .unwrap_err();
+        assert_eq!(err, EngineError::EmptyCandidateSet);
+        // The failed shard's checkpoints are counted along with the others'.
         assert_eq!(ctx.stats.budget_checks(), items.len() as u64);
     }
 }

@@ -118,7 +118,8 @@ fn eval_condition(
                 // Single hop: distinct neighbors directly, cheaper than a
                 // full vector build when multiplicity is 1 anyway.
                 let t = Instant::now();
-                let mut ns: Vec<VertexId> = graph.step_neighbors(v, path.target_type()).collect();
+                let hop = graph.hop(path.source_type(), path.target_type());
+                let mut ns: Vec<VertexId> = hop.neighbors(v).collect();
                 ns.sort_unstable();
                 ns.dedup();
                 let n = ns.len();

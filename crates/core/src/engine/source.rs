@@ -76,9 +76,10 @@ pub trait VectorSource: Send + Sync {
 /// validation, same propagation), but interleaved with
 /// [`ExecCtx::check_frontier`] so a deadline, `nnz` cap, or cancellation
 /// fires between hops of a long meta-path. Propagation scatters through the
-/// context's reusable [`DenseAccumulator`](hin_graph::DenseAccumulator)
-/// workspace, so repeated materializations on one context (or shard)
-/// allocate nothing on the hot path.
+/// context's pooled workspace
+/// ([`PooledAccumulator`](hin_graph::PooledAccumulator)), so neither the
+/// first materialization of a context (or shard) nor any later one grows a
+/// scatter buffer.
 fn guarded_traversal(
     graph: &HinGraph,
     v: VertexId,

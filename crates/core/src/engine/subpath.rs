@@ -582,10 +582,8 @@ impl SubpathSource<'_> {
 // `hin-service` workers share one instance behind an `Arc`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    const fn _check() {
-        assert_send_sync::<SubpathCache>();
-        assert_send_sync::<SubpathStats>();
-    }
+    assert_send_sync::<SubpathCache>();
+    assert_send_sync::<SubpathStats>();
 };
 
 #[cfg(test)]
@@ -728,25 +726,44 @@ mod tests {
     #[test]
     fn eviction_respects_byte_budget() {
         let g = toy::figure1_network();
-        let path = toy_path(&g, "author.paper.venue");
-        let t = g.schema().vertex_type_by_name("author").unwrap();
-        let authors: Vec<VertexId> = g.vertices_of_type(t).to_vec();
-        // Size the budget to roughly four entries so later admissions must
-        // displace earlier ones (every author's vector is about the same
-        // size, and every key has comparable frequency, so ties evict).
-        let probe = traverse::neighbor_vector(&g, authors[0], &path).unwrap();
-        let per_entry = probe.size_bytes() + std::mem::size_of::<Key>();
-        let cache = SubpathCache::with_budget_bytes(per_entry * 4);
+        // Every length-2 product rooted at an author or a paper.
+        let mut products: Vec<(VertexId, MetaPath)> = Vec::new();
+        for spec in [
+            "author.paper.venue",
+            "author.paper.author",
+            "paper.author.paper",
+            "paper.venue.paper",
+        ] {
+            let path = toy_path(&g, spec);
+            for &v in g.vertices_of_type(path.source_type()) {
+                products.push((v, path.clone()));
+            }
+        }
+        let sizes: Vec<usize> = products
+            .iter()
+            .map(|(v, path)| {
+                traverse::neighbor_vector(&g, *v, path)
+                    .unwrap()
+                    .size_bytes()
+                    + std::mem::size_of::<Key>()
+            })
+            .collect();
+        // Eight of the largest product: every product passes the
+        // one-eighth-of-the-budget admission cap, yet all of them together
+        // do not fit, so later admissions must displace or be refused.
+        let budget = 8 * sizes.iter().max().unwrap();
+        assert!(sizes.iter().sum::<usize>() > budget, "{sizes:?}");
+        let cache = SubpathCache::with_budget_bytes(budget);
         let source = SubpathSource::new(Box::new(TraversalSource::new(&g)), &cache);
         for _ in 0..2 {
-            for &a in &authors {
+            for (v, path) in &products {
                 let mut ctx = ExecCtx::unbounded();
-                source.neighbor_vector(a, &path, &mut ctx).unwrap();
+                source.neighbor_vector(*v, path, &mut ctx).unwrap();
             }
         }
         let stats = cache.stats();
-        assert!(stats.bytes_resident as usize <= per_entry * 4, "{stats:?}");
-        assert!(stats.admitted > 0, "{stats:?}");
+        assert!(stats.bytes_resident as usize <= budget, "{stats:?}");
+        assert!(stats.admitted >= 8, "{stats:?}");
         assert!(stats.evictions > 0 || stats.rejected > 0, "{stats:?}");
     }
 
@@ -758,13 +775,18 @@ mod tests {
         for _ in 0..10 {
             sketch.record(h);
         }
-        assert!(sketch.estimate(h) >= 10);
-        // Aging halves every counter.
-        let before = sketch.estimate(h);
-        for i in 0..AGE_INTERVAL {
-            sketch.record(0x1234_5678_u64.wrapping_add(i));
+        assert_eq!(sketch.estimate(h), 10);
+        // Fill the rest of the aging interval with a key that shares no
+        // counter with `h` (a count-min estimate includes whatever collides
+        // into its slots), so the one halving pass is all that moves it.
+        let other = h ^ 1;
+        assert!(FreqSketch::slots(other)
+            .iter()
+            .all(|s| !FreqSketch::slots(h).contains(s)));
+        for _ in 10..AGE_INTERVAL {
+            sketch.record(other);
         }
-        assert!(sketch.estimate(h) <= before / 2 + 1);
+        assert_eq!(sketch.estimate(h), 5);
         sketch.reset();
         assert_eq!(sketch.estimate(h), 0);
     }

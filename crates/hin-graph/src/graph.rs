@@ -10,7 +10,7 @@
 use crate::error::GraphError;
 use crate::ids::{EdgeTypeId, VertexId, VertexTypeId};
 use crate::schema::Schema;
-use crate::store::{CsrStore, GraphColumns, GraphStore, Store};
+use crate::store::{GraphColumns, GraphStore, Store};
 use rustc_hash::FxHashMap;
 
 /// Direction of an adjacency lookup relative to an edge type's declared
@@ -30,12 +30,76 @@ struct Csr {
 }
 
 impl Csr {
-    fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let i = v.index();
-        if i + 1 >= self.offsets.len() {
-            return &[];
+    /// Resolve both columns to plain slices. For a mapped graph this is
+    /// where the `dyn ByteRegion` call happens, so callers resolve once and
+    /// reuse the view.
+    fn view(&self) -> CsrView<'_> {
+        CsrView {
+            offsets: &self.offsets,
+            targets: &self.targets,
         }
-        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// One CSR's columns as plain slices.
+#[derive(Clone, Copy)]
+struct CsrView<'g> {
+    offsets: &'g [u32],
+    targets: &'g [VertexId],
+}
+
+impl<'g> CsrView<'g> {
+    fn neighbors(&self, v: VertexId) -> &'g [VertexId] {
+        let i = v.index();
+        match self.offsets.get(i..i + 2) {
+            Some(&[lo, hi]) => &self.targets[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// One meta-path link `from → to`, resolved once: the adjacency lists a
+/// vertex of type `from` follows to reach its `to`-typed neighbors, as plain
+/// slices in visiting order (forward edge types in schema order, then
+/// reverse edge types).
+///
+/// Resolving costs a schema pair-table lookup, one small allocation and, on
+/// a snapshot-backed graph, one `dyn ByteRegion` call per column; walking a
+/// vertex's neighbors afterwards costs two offset loads per list and nothing
+/// else. Propagation kernels therefore resolve a hop per step, not per
+/// frontier vertex.
+///
+/// The visiting order is part of the floating-point contract: a frontier
+/// walked in ascending id order through the lists in this order fixes the
+/// order in which weights are added into each target id, hence every bit of
+/// the resulting neighbor vector.
+pub struct Hop<'g> {
+    from: VertexTypeId,
+    lists: Vec<CsrView<'g>>,
+}
+
+impl<'g> Hop<'g> {
+    /// The vertex type this hop starts from.
+    pub fn from_type(&self) -> VertexTypeId {
+        self.from
+    }
+
+    /// The `to`-typed neighbors of `v` as one sorted slice per adjacency
+    /// list, in visiting order; parallel edges repeat within a slice. Every
+    /// slice is empty for a vertex that is not of
+    /// [`from_type`](Hop::from_type). Hot loops nest over this directly.
+    pub fn neighbor_lists(&self, v: VertexId) -> impl Iterator<Item = &'g [VertexId]> + '_ {
+        self.lists.iter().map(move |list| list.neighbors(v))
+    }
+
+    /// The `to`-typed neighbors of `v`, list by list, with multiplicity.
+    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        self.neighbor_lists(v).flatten().copied()
+    }
+
+    /// Number of `to`-typed neighbors of `v`, with multiplicity.
+    pub fn degree(&self, v: VertexId) -> usize {
+        self.neighbor_lists(v).map(<[VertexId]>::len).sum()
     }
 }
 
@@ -171,33 +235,36 @@ impl HinGraph {
     /// Neighbors of `v` along one specific edge type, in its forward
     /// (`src → dst`) orientation.
     pub fn neighbors_forward(&self, v: VertexId, et: EdgeTypeId) -> &[VertexId] {
-        self.forward[et.index()].neighbors(v)
+        self.forward[et.index()].view().neighbors(v)
     }
 
     /// Neighbors of `v` along one specific edge type, traversed backwards
     /// (`dst → src`).
     pub fn neighbors_reverse(&self, v: VertexId, et: EdgeTypeId) -> &[VertexId] {
-        self.reverse[et.index()].neighbors(v)
+        self.reverse[et.index()].view().neighbors(v)
     }
 
-    /// Plan the adjacency lists needed to step from a vertex of type `from`
-    /// to vertices of type `to`, considering every edge type in the schema
-    /// that connects the pair in either orientation.
-    fn step_plan(&self, from: VertexTypeId, to: VertexTypeId) -> Vec<(EdgeTypeId, Direction)> {
-        let mut plan = Vec::new();
-        for &et in self.schema.edge_types_from_to(from, to) {
-            plan.push((et, Direction::Forward));
-        }
-        for &et in self.schema.edge_types_from_to(to, from) {
-            // For a self-typed edge type (from == to) this adds the same edge
-            // type again with Reverse, which is required: a stored edge x→y
-            // appears in x's forward list and y's reverse list only, so both
-            // directions are needed for undirected semantics. Each edge is
-            // still seen exactly once per endpoint (a literal self-loop x→x
-            // is seen twice, the usual undirected-degree convention).
-            plan.push((et, Direction::Reverse));
-        }
-        plan
+    /// Resolve the link `from → to` into a [`Hop`]: every edge type of the
+    /// schema that connects the pair, in either orientation. A pair the
+    /// schema does not link resolves to a hop with no lists.
+    pub fn hop(&self, from: VertexTypeId, to: VertexTypeId) -> Hop<'_> {
+        let forward = self.schema.edge_types_from_to(from, to);
+        // For a self-typed edge type (from == to) the same edge type is in
+        // both lists, which is required: a stored edge x→y appears in x's
+        // forward list and y's reverse list only, so both directions are
+        // needed for undirected semantics. Each edge is still seen exactly
+        // once per endpoint (a literal self-loop x→x is seen twice, the
+        // usual undirected-degree convention).
+        let reverse = self.schema.edge_types_from_to(to, from);
+        let mut lists = Vec::with_capacity(forward.len() + reverse.len());
+        lists.extend(forward.iter().map(|et| self.forward[et.index()].view()));
+        lists.extend(reverse.iter().map(|et| self.reverse[et.index()].view()));
+        Hop { from, lists }
+    }
+
+    /// The type of every vertex, indexed by raw id.
+    pub(crate) fn vertex_type_column(&self) -> &[VertexTypeId] {
+        &self.vertex_types
     }
 
     /// Iterate all neighbors of `v` that have type `to_type`, across every
@@ -206,33 +273,22 @@ impl HinGraph {
     ///
     /// Returns an empty iterator when the schema has no link between the
     /// types — callers validating meta-paths up front never hit that case.
+    /// Loops over many vertices of one type should resolve [`HinGraph::hop`]
+    /// once instead.
     pub fn step_neighbors<'g>(
         &'g self,
         v: VertexId,
         to_type: VertexTypeId,
     ) -> impl Iterator<Item = VertexId> + 'g {
-        let from = self.vertex_type(v);
-        let plan = self.step_plan(from, to_type);
-        plan.into_iter().flat_map(move |(et, dir)| {
-            match dir {
-                Direction::Forward => self.neighbors_forward(v, et),
-                Direction::Reverse => self.neighbors_reverse(v, et),
-            }
-            .iter()
-            .copied()
-        })
+        let hop = self.hop(self.vertex_type(v), to_type);
+        hop.lists
+            .into_iter()
+            .flat_map(move |list| list.neighbors(v).iter().copied())
     }
 
     /// The number of `to_type`-typed neighbors of `v` (with multiplicity).
     pub fn step_degree(&self, v: VertexId, to_type: VertexTypeId) -> usize {
-        let from = self.vertex_type(v);
-        self.step_plan(from, to_type)
-            .into_iter()
-            .map(|(et, dir)| match dir {
-                Direction::Forward => self.neighbors_forward(v, et).len(),
-                Direction::Reverse => self.neighbors_reverse(v, et).len(),
-            })
-            .sum()
+        self.hop(self.vertex_type(v), to_type).degree(v)
     }
 
     /// A lightweight display-friendly view of a vertex.
@@ -777,6 +833,7 @@ impl GraphBuilder {
 mod tests {
     use super::*;
     use crate::schema::bibliographic_schema;
+    use crate::store::CsrStore;
 
     /// Builds the instantiated network of Figure 1(b): authors Ava, Liam,
     /// Zoe; venues ICDE, KDD; and enough papers that

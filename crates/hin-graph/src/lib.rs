@@ -16,14 +16,24 @@
 //!   with name-based lookup.
 //! * [`HinGraph`] / [`GraphBuilder`] — compact CSR adjacency per
 //!   `(edge type, direction)`, name interning, and per-type vertex indexes.
+//! * [`Hop`] — one meta-path link resolved once ([`HinGraph::hop`]): the
+//!   adjacency lists a vertex of one type follows to reach another type, as
+//!   plain slices in a fixed visiting order. Loops over many vertices walk
+//!   a hop; [`HinGraph::step_neighbors`] is the one-vertex convenience.
 //! * [`MetaPath`] — the meta-path algebra: reversal, concatenation,
 //!   symmetrization (Definitions 3–4), parsing from `"author.paper.venue"`
 //!   notation, and schema validation.
 //! * [`SparseVec`] / [`SparseMatrix`] — the sparse kernels used to count path
 //!   instantiations (`Φ_P(v)` of Definition 7) and to materialize length-2
 //!   meta-path relations (Section 6.2 of the paper).
+//! * [`DenseAccumulator`] / [`PooledAccumulator`] — the scatter workspace of
+//!   a propagation step, and the bounded process-wide free list warm ones
+//!   are checked out of.
 //! * [`traverse`] — neighbor-vector computation, neighborhoods, and pairwise
-//!   path counting built on the sparse kernels.
+//!   path counting: one kernel ([`traverse::propagate_step_with`]) that
+//!   walks a [`Hop`] per step and scatters into a workspace, so a step costs
+//!   its edges. Frontier order and list order fix the per-id addition
+//!   order, hence every bit of a neighbor vector.
 //! * [`io`] / [`binio`] — text and compact binary persistence (with
 //!   format auto-detection via [`binio::load_graph_auto`]).
 //! * [`store`] — the column storage layer ([`Store`], [`GraphStore`],
@@ -78,9 +88,9 @@ pub mod store;
 pub mod traverse;
 
 pub use error::GraphError;
-pub use graph::{EdgeRef, GraphBuilder, HinGraph, VertexRef};
+pub use graph::{EdgeRef, GraphBuilder, HinGraph, Hop, VertexRef};
 pub use ids::{EdgeTypeId, VertexId, VertexTypeId};
 pub use metapath::MetaPath;
 pub use schema::{bibliographic_schema, EdgeTypeInfo, Schema, SchemaBuilder, VertexTypeInfo};
-pub use sparse::{DenseAccumulator, SparseMatrix, SparseVec};
+pub use sparse::{DenseAccumulator, PooledAccumulator, SparseMatrix, SparseVec};
 pub use store::{ByteRegion, CsrStore, GraphColumns, GraphStore, HeapRegion, Pod, Store};

@@ -11,6 +11,8 @@ use crate::error::GraphError;
 use crate::ids::VertexId;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, PoisonError};
 
 /// A sparse vector over vertex ids with `f64` values.
 ///
@@ -300,7 +302,8 @@ fn dot_gallop(small: &[(VertexId, f64)], large: &[(VertexId, f64)]) -> f64 {
 ///
 /// Produces output identical to the [`SparseVecBuilder`] hash-map kernel
 /// (same per-id addition order, id-sorted, exact zeros dropped) while
-/// avoiding hashing and allocation once warm.
+/// avoiding hashing and allocation once warm. [`PooledAccumulator`] hands
+/// out warm ones.
 #[derive(Debug, Clone)]
 pub struct DenseAccumulator {
     /// Dense value per raw vertex id; valid only when the epoch matches.
@@ -408,12 +411,73 @@ impl DenseAccumulator {
     }
 }
 
+/// Idle workspaces, most recently returned last. Process-wide rather than
+/// thread-local because shard workers and index-build workers are scoped
+/// threads that die with their stage; a thread-local list would be thrown
+/// away with them.
+static POOL: Mutex<Vec<DenseAccumulator>> = Mutex::new(Vec::new());
+
+/// A [`DenseAccumulator`] checked out of the process-wide free list, so the
+/// first scatter of a query, shard or index row lands in slots that an
+/// earlier one already grew. Dereferences to the accumulator; dropping it —
+/// on success, error or unwind alike — clears it and puts it back, or frees
+/// it when the list already holds [`MAX_IDLE`](PooledAccumulator::MAX_IDLE)
+/// workspaces.
+#[derive(Debug)]
+pub struct PooledAccumulator(DenseAccumulator);
+
+impl PooledAccumulator {
+    /// Most idle workspaces the process keeps: the engine's cap on threads
+    /// per query, so one fully parallel query reuses every workspace it
+    /// returned. Retained memory is at most `MAX_IDLE × 12 B ×` the largest
+    /// id space scattered into (8 B value + 4 B epoch per id), plus the
+    /// touched lists.
+    pub const MAX_IDLE: usize = 16;
+
+    /// Take the most recently returned idle workspace, or a new empty one.
+    pub fn checkout() -> Self {
+        // A poisoned lock is recovered: the list is only pushed to and
+        // popped from, so it is valid whenever the lock is free.
+        let idle = POOL.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        PooledAccumulator(idle.unwrap_or_default())
+    }
+
+    /// How many workspaces sit idle in the free list right now.
+    pub fn idle_count() -> usize {
+        POOL.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+}
+
+impl Deref for PooledAccumulator {
+    type Target = DenseAccumulator;
+    fn deref(&self) -> &DenseAccumulator {
+        &self.0
+    }
+}
+
+impl DerefMut for PooledAccumulator {
+    fn deref_mut(&mut self) -> &mut DenseAccumulator {
+        &mut self.0
+    }
+}
+
+impl Drop for PooledAccumulator {
+    fn drop(&mut self) {
+        let mut ws = std::mem::take(&mut self.0);
+        ws.clear();
+        let mut pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
+        if pool.len() < Self::MAX_IDLE {
+            pool.push(ws);
+        }
+    }
+}
+
 /// Accumulator for building a [`SparseVec`] by scattered additions.
 ///
 /// Uses a hash map internally and sorts once on
-/// [`SparseVecBuilder::finish`]. Retained for tests, IO, and as the
-/// benchmark baseline kernel; hot-path propagation uses the reusable
-/// [`DenseAccumulator`] workspace instead.
+/// [`SparseVecBuilder::finish`]. Retained for tests and IO, where it is the
+/// reference the [`DenseAccumulator`] kernel is checked against; propagation
+/// uses the reusable workspace instead.
 #[derive(Debug, Default)]
 pub struct SparseVecBuilder {
     map: FxHashMap<VertexId, f64>,
@@ -811,6 +875,33 @@ mod tests {
         assert_eq!(ws.epoch, 1);
         ws.add(v(3), 4.0);
         assert_eq!(ws.finish(), sv(&[(3, 4.0)]));
+    }
+
+    #[test]
+    fn pooled_accumulator_returns_clean_and_list_is_bounded() {
+        // More workspaces out at once than the list keeps: returning them
+        // all must not grow it past the cap.
+        let mut out: Vec<PooledAccumulator> = (0..PooledAccumulator::MAX_IDLE + 4)
+            .map(|_| PooledAccumulator::checkout())
+            .collect();
+        for (i, ws) in out.iter_mut().enumerate() {
+            // Abandoned mid-scatter, as an unwinding caller would leave it.
+            ws.add(v(i as u32), 1.0 + i as f64);
+        }
+        drop(out);
+        assert!(PooledAccumulator::idle_count() <= PooledAccumulator::MAX_IDLE);
+        // Whatever comes out next — one of those or a new one — is empty
+        // and builds exactly what a fresh accumulator builds.
+        for _ in 0..PooledAccumulator::MAX_IDLE + 4 {
+            let mut ws = PooledAccumulator::checkout();
+            assert!(ws.is_empty());
+            let mut fresh = DenseAccumulator::new();
+            for (i, x) in [(7u32, 0.5), (3, 2.0), (7, 0.25)] {
+                ws.add(v(i), x);
+                fresh.add(v(i), x);
+            }
+            assert_eq!(ws.finish(), fresh.finish());
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::error::GraphError;
 use crate::graph::HinGraph;
 use crate::ids::VertexId;
 use crate::metapath::MetaPath;
-use crate::sparse::{DenseAccumulator, SparseVec, SparseVecBuilder};
+use crate::sparse::{DenseAccumulator, PooledAccumulator, SparseVec};
 
 /// Check that `v` can be the start of an instantiation of `path`.
 fn check_start(graph: &HinGraph, v: VertexId, path: &MetaPath) -> Result<(), GraphError> {
@@ -35,47 +35,49 @@ fn check_start(graph: &HinGraph, v: VertexId, path: &MetaPath) -> Result<(), Gra
 /// Propagate a sparse frontier one hop: every entry `(u, w)` scatters `w`
 /// into each `to_type`-typed neighbor of `u` (with multiplicity).
 ///
-/// Allocates a fresh workspace; hot loops should hold a
-/// [`DenseAccumulator`] and call [`propagate_step_with`] instead.
+/// Scatters through a workspace checked out of the process-wide free list
+/// ([`PooledAccumulator`]); loops that already hold a [`DenseAccumulator`]
+/// call [`propagate_step_with`] instead.
 pub fn propagate_step(
     graph: &HinGraph,
     frontier: &SparseVec,
     to_type: crate::ids::VertexTypeId,
 ) -> SparseVec {
-    propagate_step_with(graph, frontier, to_type, &mut DenseAccumulator::new())
+    propagate_step_with(graph, frontier, to_type, &mut PooledAccumulator::checkout())
 }
 
 /// [`propagate_step`] scattering through a caller-provided workspace, so
 /// repeated hops reuse one allocation.
+///
+/// The link is resolved into a [`Hop`](crate::Hop) once per run of
+/// same-typed frontier vertices — once per step for the single-typed
+/// frontiers a meta-path produces — so the loop body is two offset loads
+/// and the scatter per adjacency list. The frontier is walked in ascending
+/// id order and each vertex's lists in the hop's order, which fixes the
+/// per-id addition order and therefore every bit of the result.
 pub fn propagate_step_with(
     graph: &HinGraph,
     frontier: &SparseVec,
     to_type: crate::ids::VertexTypeId,
     ws: &mut DenseAccumulator,
 ) -> SparseVec {
+    let types = graph.vertex_type_column();
+    let Some((first, _)) = frontier.iter().next() else {
+        return ws.finish();
+    };
+    let mut hop = graph.hop(types[first.index()], to_type);
     for (u, w) in frontier.iter() {
-        for n in graph.step_neighbors(u, to_type) {
-            ws.add(n, w);
+        let from = types[u.index()];
+        if from != hop.from_type() {
+            hop = graph.hop(from, to_type);
+        }
+        for list in hop.neighbor_lists(u) {
+            for &n in list {
+                ws.add(n, w);
+            }
         }
     }
     ws.finish()
-}
-
-/// [`propagate_step`] through the legacy hash-map accumulator. Produces
-/// identical output to the dense-workspace kernel; kept as the baseline for
-/// kernel benchmarks (`exp_parallel`) and equivalence tests.
-pub fn propagate_step_hashmap(
-    graph: &HinGraph,
-    frontier: &SparseVec,
-    to_type: crate::ids::VertexTypeId,
-) -> SparseVec {
-    let mut acc = SparseVecBuilder::with_capacity(frontier.nnz().max(16));
-    for (u, w) in frontier.iter() {
-        for n in graph.step_neighbors(u, to_type) {
-            acc.add(n, w);
-        }
-    }
-    acc.finish()
 }
 
 /// The neighbor vector `Φ_P(v)` (Definition 7): entry `j` counts the path
@@ -87,7 +89,7 @@ pub fn neighbor_vector(
     v: VertexId,
     path: &MetaPath,
 ) -> Result<SparseVec, GraphError> {
-    neighbor_vector_with(graph, v, path, &mut DenseAccumulator::new())
+    neighbor_vector_with(graph, v, path, &mut PooledAccumulator::checkout())
 }
 
 /// [`neighbor_vector`] propagating through a caller-provided workspace, so
@@ -180,6 +182,7 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
     use crate::schema::bibliographic_schema;
+    use crate::sparse::SparseVecBuilder;
 
     /// The Figure 1(b) network (see `graph::tests` for the layout):
     /// π_APA(Ava,Liam)=1, π_APA(Liam,Zoe)=2, Φ_APA(Zoe)=[Ava:1,Liam:2,Zoe:5],
@@ -367,11 +370,35 @@ mod tests {
         ));
     }
 
+    /// One hop through the hash-map accumulator, list by list straight off
+    /// the per-edge-type adjacency: the reference the workspace kernel and
+    /// the hop cursor are checked against.
+    fn propagate_step_reference(
+        g: &HinGraph,
+        frontier: &SparseVec,
+        to: crate::ids::VertexTypeId,
+    ) -> SparseVec {
+        let mut acc = SparseVecBuilder::new();
+        for (u, w) in frontier.iter() {
+            let from = g.vertex_type(u);
+            for &et in g.schema().edge_types_from_to(from, to) {
+                g.neighbors_forward(u, et)
+                    .iter()
+                    .for_each(|&n| acc.add(n, w));
+            }
+            for &et in g.schema().edge_types_from_to(to, from) {
+                g.neighbors_reverse(u, et)
+                    .iter()
+                    .for_each(|&n| acc.add(n, w));
+            }
+        }
+        acc.finish()
+    }
+
     #[test]
-    fn dense_and_hashmap_kernels_agree() {
-        // The workspace kernel must be bit-identical to the legacy hash-map
-        // kernel on every hop, including shared-workspace reuse across
-        // vertices and paths.
+    fn workspace_kernel_matches_hashmap_reference() {
+        // Bit-identical on every hop, including shared-workspace reuse
+        // across vertices and paths.
         let g = figure1();
         let mut ws = DenseAccumulator::new();
         for path in [
@@ -388,7 +415,7 @@ mod tests {
                 let dense = neighbor_vector_with(&g, v, &p, &mut ws).unwrap();
                 let mut frontier = SparseVec::unit(v);
                 for link in p.types().windows(2) {
-                    frontier = propagate_step_hashmap(&g, &frontier, link[1]);
+                    frontier = propagate_step_reference(&g, &frontier, link[1]);
                     if frontier.is_empty() {
                         break;
                     }
