@@ -313,7 +313,7 @@ impl<'g> QueryEngine<'g> {
         let t = Instant::now();
         let weights: Vec<f64> = query.features.iter().map(|f| f.weight).collect();
         let (combined, order) =
-            combine_scores(&per_feature, &weights, self.combine, measure.order());
+            combine_scores(per_feature, &weights, self.combine, measure.order());
         let mut zero_visibility: Vec<VertexId> = combined
             .iter()
             .filter(|(_, s)| !s.is_finite())
@@ -457,7 +457,7 @@ impl<'g> QueryEngine<'g> {
         let t = Instant::now();
         let weights: Vec<f64> = query.features.iter().map(|f| f.weight).collect();
         let (combined, order) =
-            combine_scores(&per_feature, &weights, self.combine, measure.order());
+            combine_scores(per_feature, &weights, self.combine, measure.order());
         let zero_visibility = combined.iter().filter(|(_, s)| !s.is_finite()).count();
         let rows: Vec<OutlierResult> = combined
             .into_iter()
@@ -585,7 +585,7 @@ impl<'g> QueryEngine<'g> {
 /// Combine per-feature scores. Returns the combined scores plus the order in
 /// which they rank (Borda always ranks ascending).
 fn combine_scores(
-    per_feature: &[Vec<(VertexId, f64)>],
+    mut per_feature: Vec<Vec<(VertexId, f64)>>,
     weights: &[f64],
     strategy: CombineStrategy,
     measure_order: ScoreOrder,
@@ -595,7 +595,7 @@ fn combine_scores(
         // Single feature path: the measure's score is the final score under
         // every strategy (Borda over one list preserves the ranking but not
         // the Ω values, so short-circuit for friendlier output).
-        return (per_feature[0].clone(), measure_order);
+        return (per_feature.swap_remove(0), measure_order);
     }
     match strategy {
         CombineStrategy::WeightedAverage | CombineStrategy::WeightedSum => {

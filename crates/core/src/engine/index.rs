@@ -69,14 +69,33 @@ pub fn all_length2_paths(graph: &HinGraph) -> Vec<MetaPath> {
     out
 }
 
+/// One indexed chunk: row `v` of `matrix` is `Φ_chunk(v)`, and `norms`
+/// holds `‖Φ_chunk(v)‖²` per row, parallel to the matrix's rows (the layout
+/// [`PmIndex::from_parts`] is handed and a snapshot stores), computed once
+/// at build time so measure denominators (visibility) are never re-derived
+/// from an indexed vector.
+#[derive(Debug, Clone)]
+struct IndexedChunk {
+    matrix: SparseMatrix,
+    norms: Vec<f64>,
+}
+
+impl IndexedChunk {
+    fn from_rows(mut rows: Vec<(VertexId, SparseVec)>) -> Self {
+        // The order `SparseMatrix::from_rows` stores, so the norms line up.
+        rows.sort_unstable_by_key(|(v, _)| *v);
+        let norms = rows.iter().map(|(_, phi)| phi.norm2_sq()).collect();
+        IndexedChunk {
+            matrix: SparseMatrix::from_rows(rows),
+            norms,
+        }
+    }
+}
+
 /// A pre-materialized length-2 meta-path index.
 #[derive(Debug, Clone, Default)]
 pub struct PmIndex {
-    matrices: FxHashMap<MetaPath, SparseMatrix>,
-    /// `‖Φ_chunk(v)‖²` per materialized row, computed once at build time so
-    /// measure denominators (visibility) are never re-derived from an
-    /// indexed vector.
-    norms: FxHashMap<MetaPath, FxHashMap<VertexId, f64>>,
+    chunks: FxHashMap<MetaPath, IndexedChunk>,
 }
 
 impl PmIndex {
@@ -88,16 +107,16 @@ impl PmIndex {
     /// Build a **full PM** index: rows for every vertex of each chunk's
     /// source type. `threads` bounds build parallelism (1 = sequential).
     pub fn build_full(graph: &HinGraph, selection: ChunkSelection, threads: usize) -> Self {
-        let chunks = selection.resolve(graph);
-        let mut matrices = FxHashMap::default();
-        let mut norms = FxHashMap::default();
-        for chunk in chunks {
-            let vertices = graph.vertices_of_type(chunk.source_type());
-            let rows = materialize_rows(graph, &chunk, vertices, threads);
-            norms.insert(chunk.clone(), row_norms(&rows));
-            matrices.insert(chunk, SparseMatrix::from_rows(rows));
-        }
-        PmIndex { matrices, norms }
+        let chunks = selection
+            .resolve(graph)
+            .into_iter()
+            .map(|chunk| {
+                let vertices = graph.vertices_of_type(chunk.source_type());
+                let rows = materialize_rows(graph, &chunk, vertices, threads);
+                (chunk, IndexedChunk::from_rows(rows))
+            })
+            .collect();
+        PmIndex { chunks }
     }
 
     /// Build a **selective (SPM)** index: rows only for `selected` vertices,
@@ -108,7 +127,6 @@ impl PmIndex {
         selected: &FxHashSet<VertexId>,
         threads: usize,
     ) -> Self {
-        let chunks = selection.resolve(graph);
         // Bucket selected vertices by type once.
         let mut by_type: FxHashMap<VertexTypeId, Vec<VertexId>> = FxHashMap::default();
         for &v in selected {
@@ -117,53 +135,62 @@ impl PmIndex {
         for list in by_type.values_mut() {
             list.sort_unstable();
         }
-        let mut matrices = FxHashMap::default();
-        let mut norms = FxHashMap::default();
-        for chunk in chunks {
-            let vertices = by_type
-                .get(&chunk.source_type())
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let rows = materialize_rows(graph, &chunk, vertices, threads);
-            norms.insert(chunk.clone(), row_norms(&rows));
-            matrices.insert(chunk, SparseMatrix::from_rows(rows));
-        }
-        PmIndex { matrices, norms }
+        let chunks = selection
+            .resolve(graph)
+            .into_iter()
+            .map(|chunk| {
+                let vertices = by_type
+                    .get(&chunk.source_type())
+                    .map(Vec::as_slice)
+                    .unwrap_or(&[]);
+                let rows = materialize_rows(graph, &chunk, vertices, threads);
+                (chunk, IndexedChunk::from_rows(rows))
+            })
+            .collect();
+        PmIndex { chunks }
+    }
+
+    /// The matrix of the chunk with this type sequence (as
+    /// [`MetaPath::chunk_types`] lends it: nothing is allocated to ask), or
+    /// `None` when the chunk is not indexed.
+    pub fn matrix(&self, chunk: &[VertexTypeId]) -> Option<&SparseMatrix> {
+        self.chunks.get(chunk).map(|c| &c.matrix)
     }
 
     /// Look up `Φ_chunk(v)`. `None` when either the chunk or the row is not
     /// materialized.
     pub fn row(&self, chunk: &MetaPath, v: VertexId) -> Option<SparseVec> {
-        self.matrices.get(chunk)?.row_vec(v)
+        self.matrix(chunk.types())?.row_vec(v)
     }
 
     /// Precomputed `‖Φ_chunk(v)‖²` for a materialized row. `None` exactly
     /// when [`PmIndex::row`] would be `None`.
     pub fn row_norm(&self, chunk: &MetaPath, v: VertexId) -> Option<f64> {
-        self.norms.get(chunk)?.get(&v).copied()
+        let c = self.chunks.get(chunk)?;
+        Some(c.norms[c.matrix.row_slot(v)?])
     }
 
     /// Number of materialized rows for `chunk`, or `None` when the chunk is
     /// not indexed at all.
     pub fn rows_for(&self, chunk: &MetaPath) -> Option<usize> {
-        self.matrices.get(chunk).map(SparseMatrix::row_count)
+        self.matrix(chunk.types()).map(SparseMatrix::row_count)
     }
 
     /// Whether the row is materialized (without copying it).
     pub fn has_row(&self, chunk: &MetaPath, v: VertexId) -> bool {
-        self.matrices.get(chunk).is_some_and(|m| m.has_row(v))
+        self.matrix(chunk.types()).is_some_and(|m| m.has_row(v))
     }
 
     /// Number of indexed meta-paths.
     pub fn path_count(&self) -> usize {
-        self.matrices.len()
+        self.chunks.len()
     }
 
     /// Iterate every indexed chunk and its matrix in deterministic order
     /// (sorted by the chunk's type sequence) — the serialization order used
     /// by snapshot writers.
     pub fn chunks(&self) -> Vec<(&MetaPath, &SparseMatrix)> {
-        let mut out: Vec<_> = self.matrices.iter().collect();
+        let mut out: Vec<_> = self.chunks.iter().map(|(k, c)| (k, &c.matrix)).collect();
         out.sort_by(|(a, _), (b, _)| a.types().cmp(b.types()));
         out
     }
@@ -176,65 +203,48 @@ impl PmIndex {
     pub fn from_parts(
         parts: Vec<(MetaPath, SparseMatrix, Vec<f64>)>,
     ) -> Result<Self, hin_graph::GraphError> {
-        let mut matrices = FxHashMap::default();
-        let mut norms = FxHashMap::default();
-        for (chunk, matrix, row_norms) in parts {
-            if row_norms.len() != matrix.row_count() {
-                return Err(hin_graph::GraphError::Format {
-                    line: 0,
-                    message: format!(
-                        "index chunk has {} rows but {} norms",
-                        matrix.row_count(),
-                        row_norms.len()
-                    ),
-                });
+        let raw_err = |message: String| hin_graph::GraphError::Format { line: 0, message };
+        let mut chunks = FxHashMap::default();
+        for (chunk, matrix, norms) in parts {
+            if norms.len() != matrix.row_count() {
+                return Err(raw_err(format!(
+                    "index chunk has {} rows but {} norms",
+                    matrix.row_count(),
+                    norms.len()
+                )));
             }
-            let (row_ids, _, _) = matrix.raw_parts();
-            let per_row: FxHashMap<VertexId, f64> =
-                row_ids.iter().copied().zip(row_norms).collect();
-            if matrices.insert(chunk.clone(), matrix).is_some() {
-                return Err(hin_graph::GraphError::Format {
-                    line: 0,
-                    message: "duplicate index chunk".into(),
-                });
+            if chunks
+                .insert(chunk, IndexedChunk { matrix, norms })
+                .is_some()
+            {
+                return Err(raw_err("duplicate index chunk".into()));
             }
-            norms.insert(chunk, per_row);
         }
-        Ok(PmIndex { matrices, norms })
+        Ok(PmIndex { chunks })
     }
 
     /// Total materialized rows across all meta-paths.
     pub fn total_rows(&self) -> usize {
-        self.matrices.values().map(SparseMatrix::row_count).sum()
+        self.chunks.values().map(|c| c.matrix.row_count()).sum()
     }
 
     /// Total stored non-zeros.
     pub fn nnz(&self) -> usize {
-        self.matrices.values().map(SparseMatrix::nnz).sum()
+        self.chunks.values().map(|c| c.matrix.nnz()).sum()
     }
 
-    /// Approximate heap footprint in bytes (the y-axis of Figure 5b),
-    /// including the per-row norm side table.
+    /// Approximate heap footprint in bytes (the y-axis of Figure 5b): per
+    /// chunk its key, its matrix and its column of row norms.
     pub fn size_bytes(&self) -> usize {
-        let matrices: usize = self
-            .matrices
+        self.chunks
             .iter()
-            .map(|(k, m)| m.size_bytes() + k.types().len())
-            .sum();
-        let norms: usize = self
-            .norms
-            .values()
-            .map(|per_row| {
-                per_row.len() * (std::mem::size_of::<VertexId>() + std::mem::size_of::<f64>())
+            .map(|(k, c)| {
+                k.types().len()
+                    + c.matrix.size_bytes()
+                    + c.norms.capacity() * std::mem::size_of::<f64>()
             })
-            .sum();
-        matrices + norms
+            .sum()
     }
-}
-
-/// `‖Φ‖²` per materialized row, computed once at index-build time.
-fn row_norms(rows: &[(VertexId, SparseVec)]) -> FxHashMap<VertexId, f64> {
-    rows.iter().map(|(v, phi)| (*v, phi.norm2_sq())).collect()
 }
 
 /// Materialize `Φ_chunk(v)` for each vertex, optionally in parallel.

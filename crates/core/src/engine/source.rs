@@ -11,7 +11,9 @@
 use crate::engine::budget::ExecCtx;
 use crate::engine::index::PmIndex;
 use crate::error::EngineError;
-use hin_graph::{traverse, GraphError, HinGraph, MetaPath, SparseVec, VertexId};
+use hin_graph::{
+    traverse, DenseAccumulator, HinGraph, MetaPath, SparseVec, VertexId, VertexTypeId,
+};
 use std::time::Instant;
 
 /// A strategy for materializing neighbor vectors.
@@ -70,7 +72,8 @@ pub trait VectorSource: Send + Sync {
     }
 }
 
-/// Sparse traversal with budget checks after every propagation step.
+/// Sparse traversal along `types` with budget checks after every
+/// propagation step, timed and counted as one unindexed vector.
 ///
 /// Semantically identical to [`traverse::neighbor_vector`] (same start
 /// validation, same propagation), but interleaved with
@@ -83,25 +86,15 @@ pub trait VectorSource: Send + Sync {
 fn guarded_traversal(
     graph: &HinGraph,
     v: VertexId,
-    path: &MetaPath,
+    types: &[VertexTypeId],
     ctx: &mut ExecCtx,
 ) -> Result<SparseVec, EngineError> {
-    if !graph.contains(v) {
-        return Err(GraphError::UnknownVertex(v).into());
-    }
-    let actual = graph.vertex_type(v);
-    if actual != path.source_type() {
-        return Err(GraphError::StartTypeMismatch {
-            vertex: v,
-            actual,
-            expected: path.source_type(),
-        }
-        .into());
-    }
+    let t = Instant::now();
+    traverse::check_start(graph, v, types[0])?;
     let mut ws = ctx.take_workspace();
-    let result = (|| {
+    let result = (|| -> Result<SparseVec, EngineError> {
         let mut frontier = SparseVec::unit(v);
-        for link in path.types().windows(2) {
+        for link in types.windows(2) {
             ctx.check_frontier(frontier.nnz())?;
             frontier = traverse::propagate_step_with(graph, &frontier, link[1], &mut ws);
             if frontier.is_empty() {
@@ -113,6 +106,49 @@ fn guarded_traversal(
     })();
     // Restore even on error: `restore_workspace` clears any abandoned
     // scatter so the next traversal starts clean.
+    ctx.restore_workspace(ws);
+    let phi = result?;
+    ctx.stats.unindexed_vectors += t.elapsed();
+    ctx.stats.unindexed_count += 1;
+    Ok(phi)
+}
+
+/// One index fetch, timed and counted as an indexed vector when it hits.
+fn indexed<T>(ctx: &mut ExecCtx, fetch: impl FnOnce() -> Option<T>) -> Option<T> {
+    let t = Instant::now();
+    let hit = fetch()?;
+    ctx.stats.indexed_vectors += t.elapsed();
+    ctx.stats.indexed_count += 1;
+    Some(hit)
+}
+
+/// Propagate a frontier through one chunk: `add_row(u, w, ws, ctx)` scatters
+/// `w × Φ_chunk(u)` into `ws` for every frontier vertex, in frontier order,
+/// so per id the additions — and the bits — are those of scaling each row
+/// and summing them in that order, at a cost of the non-zeros scattered.
+/// Budget-checked per frontier vertex with the number of ids the sum has
+/// reached (its `nnz`: path counts are positive and do not cancel), so a
+/// huge frontier cannot run away between checkpoints.
+///
+/// The sum lives in the context's workspace; a traversal `add_row` starts
+/// meanwhile checks a second one out and leaves it with the context, where
+/// the next one finds it.
+pub(crate) fn scatter_frontier(
+    frontier: &SparseVec,
+    ctx: &mut ExecCtx,
+    mut add_row: impl FnMut(
+        VertexId,
+        f64,
+        &mut DenseAccumulator,
+        &mut ExecCtx,
+    ) -> Result<(), EngineError>,
+) -> Result<SparseVec, EngineError> {
+    let mut ws = ctx.take_workspace();
+    let scattered = frontier.iter().try_for_each(|(u, w)| {
+        add_row(u, w, &mut ws, ctx)?;
+        ctx.check_frontier(ws.len())
+    });
+    let result = scattered.map(|()| ws.finish());
     ctx.restore_workspace(ws);
     result
 }
@@ -137,11 +173,7 @@ impl VectorSource for TraversalSource<'_> {
         path: &MetaPath,
         ctx: &mut ExecCtx,
     ) -> Result<SparseVec, EngineError> {
-        let t = Instant::now();
-        let phi = guarded_traversal(self.graph, v, path, ctx)?;
-        ctx.stats.unindexed_vectors += t.elapsed();
-        ctx.stats.unindexed_count += 1;
-        Ok(phi)
+        guarded_traversal(self.graph, v, path.types(), ctx)
     }
 
     fn name(&self) -> &'static str {
@@ -174,51 +206,6 @@ impl<'g> IndexedSource<'g> {
     pub fn index(&self) -> &PmIndex {
         self.index
     }
-
-    /// Serve one length-2 (or length-1 tail) chunk for a single *seed*
-    /// vertex: index row if present, else traversal.
-    fn seed_chunk(
-        &self,
-        v: VertexId,
-        chunk: &MetaPath,
-        ctx: &mut ExecCtx,
-    ) -> Result<SparseVec, EngineError> {
-        if chunk.len() == 2 {
-            let t = Instant::now();
-            if let Some(row) = self.index.row(chunk, v) {
-                let phi = row;
-                ctx.stats.indexed_vectors += t.elapsed();
-                ctx.stats.indexed_count += 1;
-                return Ok(phi);
-            }
-            // Not materialized for this vertex: fall back.
-        }
-        let t = Instant::now();
-        let phi = guarded_traversal(self.graph, v, chunk, ctx)?;
-        ctx.stats.unindexed_vectors += t.elapsed();
-        ctx.stats.unindexed_count += 1;
-        Ok(phi)
-    }
-
-    /// Propagate a frontier through one chunk: for every frontier vertex use
-    /// its index row when present, traversal otherwise. Budget-checked per
-    /// frontier vertex, so a huge frontier cannot run away between
-    /// checkpoints.
-    fn frontier_chunk(
-        &self,
-        frontier: &SparseVec,
-        chunk: &MetaPath,
-        ctx: &mut ExecCtx,
-    ) -> Result<SparseVec, EngineError> {
-        let mut acc = SparseVec::new();
-        for (u, w) in frontier.iter() {
-            let mut phi = self.seed_chunk(u, chunk, ctx)?;
-            phi.scale(w);
-            acc.add_assign(&phi);
-            ctx.check_frontier(acc.nnz())?;
-        }
-        Ok(acc)
-    }
 }
 
 impl VectorSource for IndexedSource<'_> {
@@ -228,41 +215,37 @@ impl VectorSource for IndexedSource<'_> {
         path: &MetaPath,
         ctx: &mut ExecCtx,
     ) -> Result<SparseVec, EngineError> {
-        if path.is_empty() || path.len() == 1 {
-            let t = Instant::now();
-            let phi = guarded_traversal(self.graph, v, path, ctx)?;
-            ctx.stats.unindexed_vectors += t.elapsed();
-            ctx.stats.unindexed_count += 1;
-            return Ok(phi);
+        if path.len() < 2 {
+            return guarded_traversal(self.graph, v, path.types(), ctx);
         }
         // Start validation up front, mirroring the traversal path's errors.
-        if !self.graph.contains(v) {
-            return Err(GraphError::UnknownVertex(v).into());
-        }
-        let actual = self.graph.vertex_type(v);
-        if actual != path.source_type() {
-            return Err(GraphError::StartTypeMismatch {
-                vertex: v,
-                actual,
-                expected: path.source_type(),
-            }
-            .into());
-        }
-        let chunks = path.decompose_pairs();
-        let mut iter = chunks.iter();
-        let Some(first) = iter.next() else {
-            // Non-degenerate paths always decompose into at least one
-            // chunk; if that invariant ever breaks, traversal is still
-            // correct.
-            return guarded_traversal(self.graph, v, path, ctx);
+        traverse::check_start(self.graph, v, path.source_type())?;
+        // The chunks of `decompose_pairs`, borrowed. The first seeds the
+        // frontier from `v`: for a single-chunk path the whole answer is one
+        // copied index row.
+        let first = &path.types()[..3];
+        let mut frontier = match indexed(ctx, || self.index.matrix(first)?.row_vec(v)) {
+            Some(row) => row,
+            None => guarded_traversal(self.graph, v, first, ctx)?,
         };
-        let mut frontier = self.seed_chunk(v, first, ctx)?;
-        for chunk in iter {
+        for chunk in path.chunk_types().skip(1) {
             if frontier.is_empty() {
                 break;
             }
             ctx.check_frontier(frontier.nnz())?;
-            frontier = self.frontier_chunk(&frontier, chunk, ctx)?;
+            // Per frontier vertex: its index row, borrowed, when present
+            // (a single-hop tail has no matrix), traversal otherwise.
+            let matrix = self.index.matrix(chunk);
+            frontier = scatter_frontier(&frontier, ctx, |u, w, ws, ctx| {
+                match indexed(ctx, || matrix?.row(u)) {
+                    Some(row) => ws.add_scaled(row, w),
+                    None => {
+                        let phi = guarded_traversal(self.graph, u, chunk, ctx)?;
+                        ws.add_scaled(phi.as_slice(), w);
+                    }
+                }
+                Ok(())
+            })?;
         }
         ctx.check_frontier(frontier.nnz())?;
         Ok(frontier)
@@ -277,13 +260,11 @@ impl VectorSource for IndexedSource<'_> {
         // Single-chunk feature paths are the common case in the paper's
         // workloads; their norms were precomputed at index-build time.
         if path.len() == 2 {
-            if let Some(norm2_sq) = self.index.row_norm(path, v) {
-                let t = Instant::now();
-                if let Some(row) = self.index.row(path, v) {
-                    ctx.stats.indexed_vectors += t.elapsed();
-                    ctx.stats.indexed_count += 1;
-                    return Ok((row, norm2_sq));
-                }
+            let hit = indexed(ctx, || {
+                Some((self.index.row(path, v)?, self.index.row_norm(path, v)?))
+            });
+            if let Some(hit) = hit {
+                return Ok(hit);
             }
         }
         let phi = self.neighbor_vector(v, path, ctx)?;
@@ -415,7 +396,7 @@ mod tests {
         let apvpa = MetaPath::parse("author.paper.venue.paper.author", g.schema()).unwrap();
         for &a in g.vertices_of_type(author) {
             let mut ctx = ExecCtx::unbounded();
-            let guarded = guarded_traversal(&g, a, &apvpa, &mut ctx).unwrap();
+            let guarded = guarded_traversal(&g, a, apvpa.types(), &mut ctx).unwrap();
             let plain = traverse::neighbor_vector(&g, a, &apvpa).unwrap();
             assert_eq!(guarded, plain);
         }

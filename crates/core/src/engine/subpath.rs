@@ -43,7 +43,7 @@
 //! fill order races.
 
 use crate::engine::budget::ExecCtx;
-use crate::engine::source::VectorSource;
+use crate::engine::source::{scatter_frontier, VectorSource};
 use crate::error::EngineError;
 use hin_graph::{MetaPath, SparseVec, VertexId};
 use parking_lot::Mutex;
@@ -464,24 +464,6 @@ impl<'a> SubpathSource<'a> {
         self.cache.admit(key, vec.clone(), peak);
         Ok(vec)
     }
-
-    /// Propagate a frontier through one chunk, seed by seed (identical
-    /// accumulation order to `IndexedSource::frontier_chunk`).
-    fn frontier_chunk(
-        &self,
-        frontier: &SparseVec,
-        chunk: &MetaPath,
-        ctx: &mut ExecCtx,
-    ) -> Result<SparseVec, EngineError> {
-        let mut acc = SparseVec::new();
-        for (u, w) in frontier.iter() {
-            let mut phi = self.chunk_product(u, chunk, ctx)?;
-            phi.scale(w);
-            acc.add_assign(&phi);
-            ctx.check_frontier(acc.nnz())?;
-        }
-        Ok(acc)
-    }
 }
 
 impl VectorSource for SubpathSource<'_> {
@@ -565,7 +547,12 @@ impl SubpathSource<'_> {
                 break;
             }
             ctx.check_frontier(frontier.nnz())?;
-            frontier = self.frontier_chunk(&frontier, &chunks[k], ctx)?;
+            // Seed by seed, the accumulation order of `IndexedSource`.
+            frontier = scatter_frontier(&frontier, ctx, |u, w, ws, ctx| {
+                let phi = self.chunk_product(u, &chunks[k], ctx)?;
+                ws.add_scaled(phi.as_slice(), w);
+                Ok(())
+            })?;
             // The completed prefix product (chunks[..=k] from seed v) is a
             // resumption point for any longer path sharing it. The running
             // chunk peak at this moment is exactly the peak a fresh

@@ -2,7 +2,7 @@
 
 use crate::engine::topk::ScoreOrder;
 use crate::error::EngineError;
-use hin_graph::{SparseVec, VertexId};
+use hin_graph::{PooledAccumulator, SparseVec, VertexId};
 
 /// A set of vertices with their materialized feature vectors `Φ_P(·)`.
 ///
@@ -64,14 +64,28 @@ pub trait OutlierMeasure: Send + Sync {
     }
 }
 
+/// `Σ w·Φ` over `terms`, scattered term by term into a pooled workspace and
+/// left there: per id the additions happen in term order, which is the
+/// floating-point contract of the hoisted sums (DESIGN.md §10), and the cost
+/// is the non-zeros scattered. A scorer keeps the loaded workspace and
+/// scores each candidate with
+/// [`DenseAccumulator::dot`](hin_graph::DenseAccumulator::dot) — read-only,
+/// so it stays `Send + Sync` — until it is dropped and the workspace goes
+/// back to the free list.
+pub(crate) fn scatter_sum<'a>(
+    terms: impl IntoIterator<Item = (&'a SparseVec, f64)>,
+) -> PooledAccumulator {
+    let mut sum = PooledAccumulator::checkout();
+    for (phi, w) in terms {
+        sum.add_scaled(phi.as_slice(), w);
+    }
+    sum
+}
+
 /// Sum of all reference vectors — the `Σ_{v_j ∈ S_r} Φ_P(v_j)` term that
 /// Equation (1) hoists out of the per-candidate loop.
 pub fn reference_sum(reference: &VectorSet) -> SparseVec {
-    let mut sum = SparseVec::new();
-    for (_, phi) in reference {
-        sum.add_assign(phi);
-    }
-    sum
+    scatter_sum(reference.iter().map(|(_, phi)| (phi, 1.0))).finish()
 }
 
 #[cfg(test)]

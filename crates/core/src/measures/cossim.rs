@@ -9,10 +9,10 @@
 //! matter how much they published — Joe and Emma tie in Table 2, which is
 //! exactly the failure mode the paper highlights.
 
-use super::common::{OutlierMeasure, PreparedScorer, VectorSet};
+use super::common::{scatter_sum, OutlierMeasure, PreparedScorer, VectorSet};
 use crate::engine::topk::ScoreOrder;
 use crate::error::EngineError;
-use hin_graph::{SparseVec, VertexId};
+use hin_graph::{PooledAccumulator, SparseVec, VertexId};
 
 /// The `Ω_CosSim` measure.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,7 +30,7 @@ pub fn cosine(phi_i: &SparseVec, phi_j: &SparseVec) -> f64 {
 
 /// CosSim with the unit reference sum hoisted out.
 struct CosSimPrepared {
-    unit_sum: SparseVec,
+    unit_sum: PooledAccumulator,
 }
 
 impl PreparedScorer for CosSimPrepared {
@@ -42,7 +42,7 @@ impl PreparedScorer for CosSimPrepared {
                 let omega = if n == 0.0 {
                     0.0
                 } else {
-                    phi.dot(&self.unit_sum) / n
+                    self.unit_sum.dot(phi) / n
                 };
                 (*v, omega)
             })
@@ -66,15 +66,10 @@ impl OutlierMeasure for CosSimMeasure {
         // Cosine against each reference vector is a dot with the *unit*
         // reference vector, so the normalized reference sum can be hoisted —
         // unlike PathSim, CosSim admits the same O(|S_r|+|S_c|) trick.
-        let mut unit_sum = SparseVec::new();
-        for (_, psi) in reference {
+        let unit_sum = scatter_sum(reference.iter().filter_map(|(_, psi)| {
             let n = psi.norm2();
-            if n > 0.0 {
-                let mut u = psi.clone();
-                u.scale(1.0 / n);
-                unit_sum.add_assign(&u);
-            }
-        }
+            (n > 0.0).then(|| (psi, 1.0 / n))
+        }));
         Ok(Box::new(CosSimPrepared { unit_sum }))
     }
 }

@@ -139,25 +139,34 @@ impl MetaPath {
     /// Each chunk is a sub-path sharing its first type with the previous
     /// chunk's last type.
     pub fn decompose_pairs(&self) -> Vec<MetaPath> {
-        let mut chunks = Vec::new();
-        let mut i = 0;
-        while i + 2 < self.types.len() {
-            chunks.push(MetaPath {
-                types: self.types[i..=i + 2].to_vec(),
-            });
-            i += 2;
-        }
-        if i + 1 < self.types.len() {
-            chunks.push(MetaPath {
-                types: self.types[i..=i + 1].to_vec(),
-            });
-        }
-        chunks
+        self.chunk_types()
+            .map(|types| MetaPath {
+                types: types.to_vec(),
+            })
+            .collect()
+    }
+
+    /// The type sequences of [`MetaPath::decompose_pairs`]' chunks, borrowed
+    /// from this path: nothing is allocated, and a map keyed by `MetaPath`
+    /// takes them as lookup keys (see the `Borrow` impl).
+    pub fn chunk_types(&self) -> impl Iterator<Item = &[VertexTypeId]> {
+        (0..self.len())
+            .step_by(2)
+            .map(|i| &self.types[i..self.types.len().min(i + 3)])
     }
 
     /// Render with the schema's type names (`author.paper.venue`).
     pub fn display<'a>(&'a self, schema: &'a Schema) -> MetaPathDisplay<'a> {
         MetaPathDisplay { path: self, schema }
+    }
+}
+
+/// A `MetaPath` hashes and compares as its type sequence (the derives see
+/// one `Vec` field, and a `Vec` hashes as its slice), so a map keyed by
+/// `MetaPath` can be probed with a borrowed `&[VertexTypeId]`.
+impl std::borrow::Borrow<[VertexTypeId]> for MetaPath {
+    fn borrow(&self) -> &[VertexTypeId] {
+        &self.types
     }
 }
 
@@ -321,6 +330,22 @@ mod tests {
         assert_eq!(chunks[0].len(), 2);
         assert_eq!(chunks[1].len(), 1);
         assert_eq!(chunks[1].display(&s).to_string(), "venue.paper");
+    }
+
+    #[test]
+    fn borrowed_chunk_types_probe_a_map_keyed_by_path() {
+        let s = schema();
+        let p = MetaPath::parse("author.paper.venue.paper.term.paper", &s).unwrap();
+        let chunks = p.decompose_pairs();
+        let map: std::collections::HashMap<MetaPath, usize> =
+            chunks.iter().cloned().zip(0..).collect();
+        let slots: Vec<_> = p.chunk_types().map(|t| map.get(t).copied()).collect();
+        assert_eq!(slots, vec![Some(0), Some(1), Some(2)]);
+        assert!(p
+            .chunk_types()
+            .zip(&chunks)
+            .all(|(types, chunk)| types == chunk.types()));
+        assert_eq!(map.get(&p.types()[..2]), None);
     }
 
     #[test]

@@ -90,6 +90,12 @@ impl SparseVec {
         self.entries.iter().copied()
     }
 
+    /// The stored `(id, value)` pairs: ascending ids, no duplicates, no
+    /// zeros.
+    pub fn as_slice(&self) -> &[(VertexId, f64)] {
+        &self.entries
+    }
+
     /// The ids with non-zero values, in increasing order. This is the
     /// *neighborhood* `N_P(v)` of Definition 6 when the vector is `Φ_P(v)`.
     pub fn support(&self) -> impl Iterator<Item = VertexId> + '_ {
@@ -360,6 +366,34 @@ impl DenseAccumulator {
         }
     }
 
+    /// `self[v] += w · x` for every `(v, x)` of `entries`, in slice order.
+    /// Scattering the terms of a weighted sum of canonical vectors one
+    /// after the other makes, per id, the additions a fold of
+    /// [`SparseVec::scale`] and [`SparseVec::add_assign`] makes, in the same
+    /// order, so [`finish`](DenseAccumulator::finish) returns the same bits
+    /// — at a cost of the entries scattered, not of the running sum.
+    pub fn add_scaled(&mut self, entries: &[(VertexId, f64)], w: f64) {
+        for &(v, x) in entries {
+            self.add(v, x * w);
+        }
+    }
+
+    /// Dot product of `x` with what has been accumulated this generation,
+    /// without gathering it: walks `x` in ascending id order and multiplies
+    /// only live, non-zero slots — the matches [`SparseVec::dot_merge`]
+    /// against the gathered vector would find, added in the same order, so
+    /// the same bits at a cost of `x.nnz()`.
+    pub fn dot(&self, x: &SparseVec) -> f64 {
+        let mut acc = 0.0;
+        for &(v, a) in &x.entries {
+            let i = v.0 as usize;
+            if self.epochs.get(i) == Some(&self.epoch) && self.values[i] != 0.0 {
+                acc += a * self.values[i];
+            }
+        }
+        acc
+    }
+
     /// Number of distinct ids touched this generation. An upper bound on the
     /// nnz of the vector [`DenseAccumulator::finish`] would produce (touched
     /// slots that cancelled to exactly zero still count).
@@ -573,8 +607,10 @@ impl SparseMatrix {
     /// [`SparseMatrix::raw_parts`]), validating the structural invariants
     /// the accessors rely on: strictly ascending row ids, a monotone offsets
     /// column of length `rows + 1` starting at 0 and ending at
-    /// `cols_vals.len()`, and sorted columns within each row. Never panics
-    /// on malformed input.
+    /// `cols_vals.len()`, and within each row strictly ascending columns and
+    /// no stored zero — a stored row is a canonical [`SparseVec`], which is
+    /// what lets [`SparseMatrix::row_vec`] copy it as it is. Never panics on
+    /// malformed input.
     pub fn from_raw_parts(
         rows: Vec<VertexId>,
         offsets: Vec<u32>,
@@ -603,8 +639,13 @@ impl SparseMatrix {
         }
         for (i, w) in offsets.windows(2).enumerate() {
             let row = &cols_vals[w[0] as usize..w[1] as usize];
-            if row.windows(2).any(|p| p[0].0 > p[1].0) {
-                return Err(raw_err(format!("matrix row {i}: columns not sorted")));
+            if row.windows(2).any(|p| p[0].0 >= p[1].0) {
+                return Err(raw_err(format!(
+                    "matrix row {i}: columns not strictly ascending"
+                )));
+            }
+            if row.iter().any(|&(_, x)| x == 0.0) {
+                return Err(raw_err(format!("matrix row {i}: stored zero")));
             }
         }
         Ok(SparseMatrix {
@@ -626,31 +667,41 @@ impl SparseMatrix {
 
     /// Whether the matrix stores a row for vertex `v`.
     pub fn has_row(&self, v: VertexId) -> bool {
-        self.rows.binary_search(&v).is_ok()
+        self.row_slot(v).is_some()
+    }
+
+    /// The position of vertex `v`'s row among the stored rows (ascending
+    /// row id — the order of [`SparseMatrix::raw_parts`] and of any column
+    /// kept parallel to the rows), or `None` if the row is not stored.
+    pub fn row_slot(&self, v: VertexId) -> Option<usize> {
+        self.rows.binary_search(&v).ok()
+    }
+
+    /// The stored row at position `slot < row_count()`.
+    fn row_at(&self, slot: usize) -> &[(VertexId, f64)] {
+        &self.cols_vals[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
     }
 
     /// The row of vertex `v` as a slice of `(column, value)` pairs, or `None`
     /// if the row is not stored. A stored-but-empty row returns `Some(&[])`.
     pub fn row(&self, v: VertexId) -> Option<&[(VertexId, f64)]> {
-        let i = self.rows.binary_search(&v).ok()?;
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        Some(&self.cols_vals[lo..hi])
+        self.row_slot(v).map(|slot| self.row_at(slot))
     }
 
-    /// The row of vertex `v` as an owned [`SparseVec`].
+    /// The row of vertex `v` as an owned [`SparseVec`]: one allocation and
+    /// one copy of the stored slice, which every constructor keeps canonical.
     pub fn row_vec(&self, v: VertexId) -> Option<SparseVec> {
-        self.row(v)
-            .map(|slice| SparseVec::from_entries(slice.to_vec()))
+        self.row(v).map(|row| SparseVec {
+            entries: row.to_vec(),
+        })
     }
 
     /// Iterate stored rows as `(row id, row slice)`.
     pub fn iter_rows(&self) -> impl Iterator<Item = (VertexId, &[(VertexId, f64)])> + '_ {
-        self.rows.iter().enumerate().map(move |(i, v)| {
-            let lo = self.offsets[i] as usize;
-            let hi = self.offsets[i + 1] as usize;
-            (*v, &self.cols_vals[lo..hi])
-        })
+        self.rows
+            .iter()
+            .enumerate()
+            .map(move |(slot, v)| (*v, self.row_at(slot)))
     }
 
     /// Sparse vector–matrix product `x · M`: propagates a frontier one
@@ -902,6 +953,67 @@ mod tests {
             }
             assert_eq!(ws.finish(), fresh.finish());
         }
+    }
+
+    #[test]
+    fn add_scaled_and_gather_dot_match_the_merge_kernels() {
+        // −1.5·a cancels id 2 of b exactly; c brings id 2 back.
+        let a = sv(&[(1, 2.0), (2, 2.0)]);
+        let b = sv(&[(2, 3.0), (7, 0.25)]);
+        let c = sv(&[(2, 0.5), (9, -4.0)]);
+        let mut ws = DenseAccumulator::new();
+        let mut folded = SparseVec::new();
+        let probe = sv(&[(0, 9.0), (2, 3.0), (7, -2.0), (400, 1.0)]);
+        for (x, w) in [(&b, 1.0), (&a, -1.5), (&c, 1.0)] {
+            ws.add_scaled(x.as_slice(), w);
+            let mut term = x.clone();
+            term.scale(w);
+            folded.add_assign(&term);
+            // The gather sees the running sum: a slot that cancelled to zero
+            // is skipped like the entry `add_assign` dropped, and an id past
+            // the workspace's slots reads as absent.
+            assert_eq!(ws.dot(&probe).to_bits(), probe.dot_merge(&folded).to_bits());
+        }
+        assert_eq!(ws.finish(), folded);
+        assert_eq!(ws.dot(&probe), 0.0, "a finished workspace is empty");
+    }
+
+    #[test]
+    fn row_vec_copies_the_stored_row() {
+        let m = SparseMatrix::from_rows(vec![
+            (v(4), sv(&[(1, 1.0), (9, 2.0)])),
+            (v(2), SparseVec::new()),
+        ]);
+        assert_eq!(m.row_slot(v(2)), Some(0));
+        assert_eq!(m.row_slot(v(4)), Some(1));
+        assert_eq!(m.row_slot(v(3)), None);
+        assert_eq!(m.row_at(1), m.row(v(4)).unwrap());
+        assert_eq!(m.row_vec(v(4)).unwrap().as_slice(), m.row(v(4)).unwrap());
+        assert_eq!(m.row_vec(v(2)).unwrap(), SparseVec::new());
+        assert!(m.row_vec(v(3)).is_none());
+    }
+
+    #[test]
+    fn from_raw_parts_rejects_rows_that_are_not_canonical() {
+        let rows = vec![v(1), v(2)];
+        let offsets = vec![0u32, 2, 3];
+        let ok = vec![(v(5), 1.0), (v(6), 2.0), (v(5), 3.0)];
+        let m = SparseMatrix::from_raw_parts(rows.clone(), offsets.clone(), ok.clone()).unwrap();
+        assert_eq!(m.row_vec(v(1)).unwrap().as_slice(), m.row(v(1)).unwrap());
+        // A repeated column would make `row()` and a re-canonicalised copy
+        // disagree; so would a stored zero, positive or negative.
+        for (at, bad) in [(1, (v(5), 2.0)), (1, (v(6), 0.0)), (2, (v(5), -0.0))] {
+            let mut pairs = ok.clone();
+            pairs[at] = bad;
+            let err = SparseMatrix::from_raw_parts(rows.clone(), offsets.clone(), pairs);
+            assert!(
+                matches!(err, Err(GraphError::Format { .. })),
+                "{bad:?} at {at}: {err:?}"
+            );
+        }
+        // Descending columns were rejected before and still are.
+        let pairs = vec![(v(6), 1.0), (v(5), 2.0), (v(5), 3.0)];
+        assert!(SparseMatrix::from_raw_parts(rows, offsets, pairs).is_err());
     }
 
     #[test]

@@ -12,21 +12,26 @@
 
 use crate::error::GraphError;
 use crate::graph::HinGraph;
-use crate::ids::VertexId;
+use crate::ids::{VertexId, VertexTypeId};
 use crate::metapath::MetaPath;
 use crate::sparse::{DenseAccumulator, PooledAccumulator, SparseVec};
 
-/// Check that `v` can be the start of an instantiation of `path`.
-fn check_start(graph: &HinGraph, v: VertexId, path: &MetaPath) -> Result<(), GraphError> {
+/// Check that `v` can be the start of an instantiation of a meta-path
+/// whose first type is `source_type`: it exists and has that type.
+pub fn check_start(
+    graph: &HinGraph,
+    v: VertexId,
+    source_type: VertexTypeId,
+) -> Result<(), GraphError> {
     if !graph.contains(v) {
         return Err(GraphError::UnknownVertex(v));
     }
     let actual = graph.vertex_type(v);
-    if actual != path.source_type() {
+    if actual != source_type {
         return Err(GraphError::StartTypeMismatch {
             vertex: v,
             actual,
-            expected: path.source_type(),
+            expected: source_type,
         });
     }
     Ok(())
@@ -100,7 +105,7 @@ pub fn neighbor_vector_with(
     path: &MetaPath,
     ws: &mut DenseAccumulator,
 ) -> Result<SparseVec, GraphError> {
-    check_start(graph, v, path)?;
+    check_start(graph, v, path.source_type())?;
     let mut frontier = SparseVec::unit(v);
     for link in path.types().windows(2) {
         frontier = propagate_step_with(graph, &frontier, link[1], ws);

@@ -4,7 +4,7 @@
 //! approximately equal: N-thread query execution is only deterministic if
 //! every path through `dot` and every accumulator produce the same floats.
 
-use hin_graph::{DenseAccumulator, SparseVec, VertexId};
+use hin_graph::{DenseAccumulator, PooledAccumulator, SparseVec, VertexId};
 use proptest::prelude::*;
 
 /// Arbitrary sparse vector with up to `max_nnz` entries over ids `0..id_span`.
@@ -17,7 +17,93 @@ fn sparse_vec(max_nnz: usize, id_span: u32) -> impl Strategy<Value = SparseVec> 
     })
 }
 
+/// A weighted sum whose terms cancel and come back: small integer values
+/// and signed integer weights over few ids, so running sums hit exactly zero
+/// (an entry `add_assign` drops, a slot the workspace keeps at `0.0`) and
+/// later terms bring the id back; every fourth value and weight is an
+/// arbitrary real, so rounding order matters too.
+fn cancelling_terms() -> impl Strategy<Value = Vec<(SparseVec, f64)>> {
+    let value = (0..4u32, -3.0f64..4.0, -50.0f64..50.0).prop_map(|(pick, int, real)| {
+        if pick == 0 {
+            real
+        } else {
+            int.trunc()
+        }
+    });
+    let weight =
+        (0..4u32, -2.0f64..3.0, -2.0f64..2.0)
+            .prop_map(|(pick, int, real)| if pick == 0 { real } else { int.trunc() });
+    let term = (prop::collection::vec((0..24u32, value), 0..=12), weight).prop_map(|(pairs, w)| {
+        let phi: SparseVec = pairs.into_iter().map(|(i, x)| (VertexId(i), x)).collect();
+        (phi, w)
+    });
+    prop::collection::vec(term, 0..=16)
+}
+
+/// The merge kernels the scatter replaces: scale a copy of each term, fold
+/// with `add_assign`.
+fn folded_sum(terms: &[(SparseVec, f64)]) -> SparseVec {
+    let mut sum = SparseVec::new();
+    for (phi, w) in terms {
+        let mut term = phi.clone();
+        term.scale(*w);
+        sum.add_assign(&term);
+    }
+    sum
+}
+
+fn bits(x: &SparseVec) -> Vec<(VertexId, u64)> {
+    x.iter().map(|(v, a)| (v, a.to_bits())).collect()
+}
+
 proptest! {
+    /// Scattering `w × Φ` term by term builds the vector that scaling each
+    /// term and folding `add_assign` builds, bit for bit — also while the
+    /// sum is only partly built, when the gather `dot` must already equal
+    /// `dot_merge` against the fold so far (zero slots skipped like dropped
+    /// entries, ids outside the workspace absent).
+    #[test]
+    fn scattered_sum_and_gather_dot_match_the_fold(
+        terms in cancelling_terms(),
+        probe in sparse_vec(16, 40),
+    ) {
+        let mut ws = DenseAccumulator::new();
+        for upto in 0..=terms.len() {
+            if let Some((phi, w)) = upto.checked_sub(1).map(|i| &terms[i]) {
+                ws.add_scaled(phi.as_slice(), *w);
+            }
+            let fold = folded_sum(&terms[..upto]);
+            prop_assert_eq!(ws.dot(&probe).to_bits(), probe.dot_merge(&fold).to_bits());
+            // What `SparseVec::dot` would have chosen (merge or gallop).
+            prop_assert_eq!(ws.dot(&probe).to_bits(), probe.dot(&fold).to_bits());
+        }
+        prop_assert_eq!(bits(&ws.finish()), bits(&folded_sum(&terms)));
+    }
+
+    /// A pooled workspace that already carried one sum (returned to the free
+    /// list loaded, as a dropped scorer returns it) builds the next sum, and
+    /// answers the next gathers, with the bits of a new workspace.
+    #[test]
+    fn reused_pooled_workspace_matches_a_fresh_one(
+        first in cancelling_terms(),
+        second in cancelling_terms(),
+        probe in sparse_vec(16, 40),
+    ) {
+        let mut pooled = PooledAccumulator::checkout();
+        for (phi, w) in &first {
+            pooled.add_scaled(phi.as_slice(), *w);
+        }
+        drop(pooled);
+        let mut pooled = PooledAccumulator::checkout();
+        let mut fresh = DenseAccumulator::new();
+        for (phi, w) in &second {
+            pooled.add_scaled(phi.as_slice(), *w);
+            fresh.add_scaled(phi.as_slice(), *w);
+        }
+        prop_assert_eq!(pooled.dot(&probe).to_bits(), fresh.dot(&probe).to_bits());
+        prop_assert_eq!(bits(&pooled.finish()), bits(&fresh.finish()));
+    }
+
     /// `dot` (which dispatches to galloping on skewed operands) must equal
     /// the two-pointer merge bit-for-bit, in both argument orders.
     #[test]

@@ -11,7 +11,8 @@
 //! rejected outright.
 
 use hin_datagen::dblp::{generate, SyntheticConfig};
-use hin_snapshot::{Snapshot, SnapshotWriter};
+use hin_snapshot::format::{assemble, parse_layout, section};
+use hin_snapshot::{Snapshot, SnapshotError, SnapshotWriter};
 use netout::engine::index::{ChunkSelection, PmIndex};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -146,6 +147,67 @@ fn every_truncation_rejected_exhaustively() {
         });
         assert!(ok, "panic on a {cut}-byte prefix");
     }
+}
+
+/// The pristine snapshot with one section's payload edited and every CRC
+/// recomputed: damage the container cannot see, only the decoder can.
+fn reassembled_with(id: u32, edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let bytes = encoded();
+    let sections: Vec<(u32, Vec<u8>)> = parse_layout(bytes)
+        .expect("pristine layout")
+        .iter()
+        .map(|s| {
+            let mut payload = bytes[s.offset..s.offset + s.len].to_vec();
+            if s.id == id {
+                edit(&mut payload);
+            }
+            (s.id, payload)
+        })
+        .collect();
+    assemble(&sections)
+}
+
+#[test]
+fn index_rows_that_are_not_canonical_are_rejected() {
+    // The first index row with two entries: the engine hands stored rows out
+    // as they are, so a repeated column or a stored zero must not load —
+    // `row()` and a re-canonicalised copy would disagree about the row.
+    let snap = Snapshot::from_bytes(encoded()).expect("pristine snapshot loads");
+    let index = snap.index().expect("snapshot carries an index");
+    let mut base = 0usize;
+    let mut target = None;
+    'chunks: for (_, matrix) in index.chunks() {
+        let (_, offsets, _) = matrix.raw_parts();
+        for w in offsets.windows(2) {
+            if w[1] - w[0] >= 2 {
+                target = Some(base + w[0] as usize);
+                break 'chunks;
+            }
+        }
+        base += matrix.nnz();
+    }
+    let at = target.expect("some indexed row has two entries");
+
+    let duplicate_column = reassembled_with(section::PM_COLS, |cols| {
+        let first: [u8; 4] = cols[at * 4..at * 4 + 4].try_into().unwrap();
+        cols[(at + 1) * 4..(at + 2) * 4].copy_from_slice(&first);
+    });
+    let explicit_zero = reassembled_with(section::PM_VALS, |vals| {
+        vals[at * 8..at * 8 + 8].copy_from_slice(&0.0f64.to_le_bytes());
+    });
+    for (what, bytes) in [
+        ("duplicate column", duplicate_column),
+        ("explicit zero", explicit_zero),
+    ] {
+        parse_layout(&bytes).expect("the container itself is intact");
+        match Snapshot::from_bytes(&bytes) {
+            Err(SnapshotError::Graph(_) | SnapshotError::Format { .. }) => {}
+            Err(other) => panic!("{what}: unexpected error {other}"),
+            Ok(_) => panic!("{what}: loaded as an index"),
+        }
+    }
+    // The same surgery with nothing changed still loads.
+    Snapshot::from_bytes(&reassembled_with(section::PM_COLS, |_| {})).expect("identity edit");
 }
 
 #[test]

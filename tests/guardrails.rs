@@ -11,15 +11,27 @@ fn fixture(scale: f64) -> hin_datagen::dblp::SyntheticNetwork {
     generate(&SyntheticConfig::default().scaled(scale))
 }
 
-/// A deliberately broad query: a venue's whole author population judged by
-/// two feature paths.
-fn oversized_query(net: &hin_datagen::dblp::SyntheticNetwork) -> String {
+/// A venue's whole author population judged by the given feature paths.
+fn venue_authors_query(net: &hin_datagen::dblp::SyntheticNetwork, judged_by: &str) -> String {
     let g = &net.graph;
     let venue_t = g.schema().vertex_type_by_name("venue").unwrap();
     let venue = g.vertex_name(g.vertices_of_type(venue_t)[0]);
-    format!(
-        "FIND OUTLIERS FROM venue{{\"{venue}\"}}.paper.author \
-         JUDGED BY author.paper.venue, author.paper.term TOP 50;"
+    format!("FIND OUTLIERS FROM venue{{\"{venue}\"}}.paper.author JUDGED BY {judged_by} TOP 50;")
+}
+
+/// A deliberately broad query: a venue's whole author population judged by
+/// two feature paths.
+fn oversized_query(net: &hin_datagen::dblp::SyntheticNetwork) -> String {
+    venue_authors_query(net, "author.paper.venue, author.paper.term")
+}
+
+/// The same population judged by two dense length-4 paths: tens of
+/// milliseconds of propagation unbudgeted, where the length-2 paths of
+/// [`oversized_query`] take less than one.
+fn runaway_query(net: &hin_datagen::dblp::SyntheticNetwork) -> String {
+    venue_authors_query(
+        net,
+        "author.paper.venue.paper.author, author.paper.term.paper.author",
     )
 }
 
@@ -30,7 +42,7 @@ fn one_ms_deadline_terminates_promptly() {
     // Full-scale network: the query takes far longer than 1 ms unbudgeted,
     // so a clean completion here would mean the deadline is ignored.
     let net = fixture(1.0);
-    let query = oversized_query(&net);
+    let query = runaway_query(&net);
     let detector =
         OutlierDetector::new(net.graph.clone()).budget(Budget::unbounded().with_timeout_ms(1));
     let start = Instant::now();
